@@ -1,4 +1,4 @@
-"""SOLVER: tensorized slab + StandardForm presolve — raw solver speed.
+"""SOLVER: tensorized dual-simplex slab — raw solver speed.
 
 Not a paper artifact: this gates the dual-simplex slab engine (DESIGN.md
 §14) the way ``test_bench_oracle_throughput`` gates the batched oracle.
@@ -6,10 +6,10 @@ Three regimes over the same 240-point TE batch (Fig. 1a topology):
 
 * **legacy** — ``REPRO_SLAB_ENGINE=off``: the pre-slab per-point template
   loop (chained warm starts, Python control flow per instance);
+* **scalar engine** — ``REPRO_SLAB_ENGINE=scalar``: the slab protocol run
+  one instance at a time (the bit-identical reference);
 * **slab** — the tensorized engine: shared basis factorization, lockstep
-  pivots over a stacked tableau;
-* **presolve+slab** — the slab on templates reduced by the
-  StandardForm presolve (``REPRO_SF_PRESOLVE=1``).
+  pivots over a stacked tableau.
 
 The acceptance bar for the slab PR is slab >= 5x legacy on this batch;
 the benchmark asserts it in-process (same machine, same run) so the gate
@@ -67,30 +67,25 @@ def test_solver_slab_throughput(benchmark, fig1a_demand_set):
     problem = _fresh_problem(fig1a_demand_set)
     points = rng.uniform(0.0, 100.0, size=(POINTS, problem.dim))
 
-    with _env(REPRO_SLAB_ENGINE="off", REPRO_SF_PRESOLVE="0"):
+    with _env(REPRO_SLAB_ENGINE="off"):
         legacy_pps, legacy = _pps(problem, points)
-    with _env(REPRO_SLAB_ENGINE="scalar", REPRO_SF_PRESOLVE="0"):
+    with _env(REPRO_SLAB_ENGINE="scalar"):
         scalar_pps, scalar = _pps(_fresh_problem(fig1a_demand_set), points)
-    with _env(REPRO_SLAB_ENGINE="tensor", REPRO_SF_PRESOLVE="0"):
+    with _env(REPRO_SLAB_ENGINE="tensor"):
         slab_problem = _fresh_problem(fig1a_demand_set)
         slab_pps, slab = _pps(slab_problem, points)
         slab_pps = benchmark.pedantic(
             lambda: _pps(slab_problem, points)[0], rounds=1, iterations=1
-        )
-    with _env(REPRO_SLAB_ENGINE="tensor", REPRO_SF_PRESOLVE="1"):
-        presolve_pps, presolved = _pps(
-            _fresh_problem(fig1a_demand_set), points
         )
 
     benchmark.extra_info["points"] = POINTS
     benchmark.extra_info["legacy_pps"] = legacy_pps
     benchmark.extra_info["scalar_engine_pps"] = scalar_pps
     benchmark.extra_info["slab_pps"] = slab_pps
-    benchmark.extra_info["presolve_slab_pps"] = presolve_pps
     benchmark.extra_info["slab_speedup"] = slab_pps / legacy_pps
 
     rows = [
-        "SOLVER - dual-simplex slab + presolve (TE demand pinning, fig. 1a)",
+        "SOLVER - dual-simplex slab (TE demand pinning, fig. 1a)",
         comparison_row("legacy per-point loop", "-", f"{legacy_pps:,.0f} pts/s"),
         comparison_row(
             "slab (scalar engine)",
@@ -102,18 +97,11 @@ def test_solver_slab_throughput(benchmark, fig1a_demand_set):
             ">= 5x legacy",
             f"{slab_pps:,.0f} pts/s ({slab_pps / legacy_pps:.1f}x)",
         ),
-        comparison_row(
-            "presolve + slab",
-            "-",
-            f"{presolve_pps:,.0f} pts/s ({presolve_pps / legacy_pps:.1f}x)",
-        ),
     ]
     report(benchmark, rows)
 
     # correctness ride-along: every regime reproduces the legacy values
-    for name, samples in (
-        ("scalar", scalar), ("tensor", slab), ("presolve", presolved)
-    ):
+    for name, samples in (("scalar", scalar), ("tensor", slab)):
         assert np.allclose(
             samples.benchmark_values, legacy.benchmark_values, atol=1e-7
         ), name

@@ -32,7 +32,7 @@ from repro.analyzer.interface import GapSamples
 from repro.domains.te.demands import DemandSet
 from repro.domains.te.optimal import build_optimal_te_model
 from repro.domains.te.pinning import build_pinning_template_model
-from repro.solver.knobs import slab_engine
+from repro.solver.slab import slab_engine
 from repro.solver.solution import SolveStatus
 from repro.solver.template import LpTemplate
 
@@ -60,11 +60,8 @@ class TeBatchOracle:
         """Construct both templates (once, on first use)."""
         demand_set = self.demand_set
         full = {key: self.d_max for key in demand_set.keys}
-        rhs_ranges = {
-            f"dem[{key}]": (0.0, self.d_max) for key in demand_set.keys
-        }
         opt_model, opt_vars = build_optimal_te_model(demand_set, full)
-        self._opt_template = LpTemplate(opt_model, rhs_ranges=rhs_ranges)
+        self._opt_template = LpTemplate(opt_model)
         self._opt_dem_rows = [f"dem[{key}]" for key in demand_set.keys]
 
         dp_model, dp_vars = build_pinning_template_model(
@@ -74,7 +71,6 @@ class TeBatchOracle:
         self._dp_dem_rows = list(self._opt_dem_rows)
         #: per demand: (shortest-path var, [blk row names])
         self._dp_pin_controls = []
-        dp_ranges = dict(rhs_ranges)
         for demand in demand_set.demands:
             shortest = dp_vars[(demand.key, demand.shortest_path.name)]
             blk_rows = [
@@ -82,9 +78,7 @@ class TeBatchOracle:
                 for path in demand.paths[1:]
             ]
             self._dp_pin_controls.append((shortest, blk_rows))
-            for blk in blk_rows:
-                dp_ranges[blk] = (0.0, self.d_max)
-        self._dp_template = LpTemplate(dp_model, rhs_ranges=dp_ranges)
+        self._dp_template = LpTemplate(dp_model)
 
         # ---- vectorized slab-batch maps -------------------------------
         opt_t, dp_t = self._opt_template, self._dp_template

@@ -91,10 +91,22 @@ class ServiceHandler(BaseHTTPRequestHandler):
         body = json.dumps(payload, sort_keys=True).encode()
         self._send_raw(status, "application/json", body)
 
-    def _send_raw(self, status: int, content_type: str, body: bytes) -> None:
+    def _send_raw(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        headers: dict | None = None,
+    ) -> None:
+        # Count the request before any byte of the response goes out: a
+        # client that has read its response may scrape /metrics next and
+        # must find its own request there.
+        self._observe()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -102,13 +114,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self, status: int, message: str, headers: dict | None = None
     ) -> None:
         body = json.dumps({"error": message}, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_raw(status, "application/json", body, headers)
 
     def _method_not_allowed(self) -> None:
         self._error(
@@ -149,13 +155,21 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return "/runs/{id}/" + parts[2]
         return "(unknown)"
 
-    def _observe(self, method: str, parts: list[str], started: float) -> None:
+    #: ``(path parts, start time)`` of the GET/POST being served, until
+    #: :meth:`_observe` records it
+    _pending: tuple[list[str], float] | None = None
+
+    def _observe(self) -> None:
+        if self._pending is None:
+            return
+        parts, started = self._pending
+        self._pending = None
         route = self._route_template(parts)
         self.service.metrics.counter_inc(
             "xplain_http_requests_total",
             1,
             help="API requests served",
-            method=method,
+            method=self.command,
             route=route,
         )
         self.service.metrics.histogram_observe(
@@ -169,10 +183,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         started = time.perf_counter()
         parts = [p for p in urlparse(self.path).path.split("/") if p]
-        try:
-            self._get(parts)
-        finally:
-            self._observe("GET", parts, started)
+        self._pending = (parts, started)
+        self._get(parts)
 
     def _get(self, parts: list[str]) -> None:
         try:
@@ -252,10 +264,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         started = time.perf_counter()
         parts = [p for p in urlparse(self.path).path.split("/") if p]
-        try:
-            self._post(parts)
-        finally:
-            self._observe("POST", parts, started)
+        self._pending = (parts, started)
+        self._post(parts)
 
     def _post(self, parts: list[str]) -> None:
         url = urlparse(self.path)

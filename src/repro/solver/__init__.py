@@ -12,7 +12,10 @@ that proprietary layer with a complete, self-contained stack:
 * :mod:`repro.solver.scipy_backend` — HiGHS via SciPy, used as the
   cross-check oracle and the large-model fast path;
 * :mod:`repro.solver.template` — parametric LP templates with basis
-  warm-starting (the batched gap-oracle engine's solve substrate).
+  warm-starting (the batched gap-oracle engine's solve substrate);
+* :mod:`repro.solver.slab` — the dual-simplex slab that solves a template
+  for a whole batch of right-hand sides, and :func:`slab_engine`, the
+  parser of its one switch, ``REPRO_SLAB_ENGINE`` (DESIGN.md §14).
 """
 
 from repro.solver.expr import (
@@ -23,11 +26,9 @@ from repro.solver.expr import (
     VarType,
     quicksum,
 )
-from repro.solver.knobs import sf_presolve_default, slab_engine
 from repro.solver.model import INF, Model
 from repro.solver.presolve import PresolveResult, presolve, solve_with_presolve
-from repro.solver.sf_presolve import PresolvedForm, presolve_standard_form
-from repro.solver.slab import SlabResult, solve_slab
+from repro.solver.slab import SlabResult, slab_engine, solve_slab
 from repro.solver.solution import Solution, SolveStats, SolveStatus
 from repro.solver.template import LpTemplate, TemplateSlabResult
 
@@ -38,7 +39,6 @@ __all__ = [
     "LpTemplate",
     "Model",
     "PresolveResult",
-    "PresolvedForm",
     "Relation",
     "SlabResult",
     "Solution",
@@ -48,9 +48,7 @@ __all__ = [
     "Variable",
     "VarType",
     "presolve",
-    "presolve_standard_form",
     "quicksum",
-    "sf_presolve_default",
     "slab_engine",
     "solve_slab",
     "solve_with_presolve",

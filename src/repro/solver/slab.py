@@ -30,10 +30,18 @@ Two engines implement the same protocol:
   engines return **bit-identical** arrays (statuses, objectives, solution
   vectors, iteration counts). The solver-bench CI job diffs them per
   domain to keep that invariant honest.
+
+``REPRO_SLAB_ENGINE`` picks the engine when a caller passes none. It is
+read at call time by :func:`slab_engine`, the one place engine names
+are parsed: ``tensor`` (the default, also when unset or empty),
+``scalar``, or ``off``. ``off`` makes the TE batch oracle fall back to
+its pre-slab per-point loop (the benchmark baseline); a slab solve
+asked for ``off`` runs ``tensor``. Any other name raises.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +61,27 @@ from repro.solver.standard_form import StandardForm
 #: into sequential chunks that share the same seed basis (identical
 #: results — instances are independent once ``B0`` is fixed).
 MAX_TENSOR_CELLS = 4_000_000
+
+#: legal ``REPRO_SLAB_ENGINE`` / ``engine=`` values
+ENGINES = ("tensor", "scalar", "off")
+
+
+def slab_engine(engine: str | None = None) -> str:
+    """The validated engine name: ``engine``, else ``REPRO_SLAB_ENGINE``.
+
+    An unset or empty variable means ``tensor``. Raises ``ValueError``
+    naming the legal values for anything outside :data:`ENGINES`.
+    """
+    source = "engine"
+    if engine is None:
+        source = "REPRO_SLAB_ENGINE"
+        engine = os.environ.get(source, "").strip().lower() or "tensor"
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown slab engine {engine!r} in {source}; "
+            f"expected one of {', '.join(ENGINES)}"
+        )
+    return engine
 
 
 @dataclass
@@ -90,7 +119,7 @@ def solve_slab(
     b_matrix: np.ndarray,
     c_matrix: np.ndarray | None = None,
     start_basis: list[int] | None = None,
-    engine: str = "tensor",
+    engine: str | None = None,
     max_iter: int | None = None,
 ) -> SlabResult:
     """Solve ``K`` instances of ``sf`` differing only in ``b`` (and ``c``).
@@ -101,7 +130,10 @@ def solve_slab(
     reusable basis and warm-starts the rest from it. The seed basis is
     fixed for the whole slab — results are a pure function of
     ``(sf, b_matrix, c_matrix, start_basis)``, independent of engine.
+    ``engine`` defaults to :func:`slab_engine`'s reading of the
+    environment.
     """
+    tensor = slab_engine(engine) != "scalar"
     b_matrix = np.asarray(b_matrix, dtype=float)
     if b_matrix.ndim != 2:
         raise ValueError("b_matrix must be (K, m)")
@@ -121,7 +153,7 @@ def solve_slab(
 
     registry = _obs.registry()
     if registry is not None:
-        effective = "tensor" if engine == "tensor" and m > 0 else "scalar"
+        effective = "tensor" if tensor and m > 0 else "scalar"
         registry.counter_inc(
             "xplain_solver_slab_solves_total",
             1,
@@ -135,7 +167,7 @@ def solve_slab(
             engine=effective,
         )
 
-    if engine == "tensor" and m > 0:
+    if tensor and m > 0:
         chunk = max(1, MAX_TENSOR_CELLS // ((m + 1) * (n + 1)))
         if K > chunk:
             return _solve_chunked(sf, b_matrix, c_matrix, start_basis, max_iter, chunk)

@@ -30,9 +30,7 @@ import numpy as np
 
 from repro.exceptions import ModelError
 from repro.solver.expr import Relation, Variable
-from repro.solver.knobs import sf_presolve_default, slab_engine
 from repro.solver.model import Model
-from repro.solver.sf_presolve import PresolvedForm, presolve_standard_form
 from repro.solver.simplex import (
     solve_standard_form,
     solve_with_basis,
@@ -74,12 +72,7 @@ class LpTemplate:
     back to the cold two-phase simplex when warm starting fails.
     """
 
-    def __init__(
-        self,
-        model: Model,
-        presolve: bool | None = None,
-        rhs_ranges: dict[str, tuple[float, float]] | None = None,
-    ) -> None:
+    def __init__(self, model: Model) -> None:
         if model.is_mip:
             raise ModelError(
                 f"model {model.name!r} has integer variables; LP templates "
@@ -126,26 +119,6 @@ class LpTemplate:
         self._c_dirty = False
         self._b = sf.b.copy()
 
-        # ---- optional StandardForm presolve -------------------------------
-        self._presolved: PresolvedForm | None = None
-        if presolve if presolve is not None else sf_presolve_default():
-            b_lo = self._b.copy()
-            b_hi = self._b.copy()
-            for name, (lo, hi) in (rhs_ranges or {}).items():
-                try:
-                    row, sign = self._row_of[name]
-                except KeyError:
-                    raise ModelError(
-                        f"rhs range names unknown constraint {name!r}"
-                    ) from None
-                ends = (
-                    sign * lo - sf.row_shifts[row],
-                    sign * hi - sf.row_shifts[row],
-                )
-                b_lo[row] = min(ends)
-                b_hi[row] = max(ends)
-            self._presolved = presolve_standard_form(sf, b_lo, b_hi)
-
         # ---- warm-start state & counters ----------------------------------
         self._basis: list[int] | None = None
         self.warm_solves = 0
@@ -180,52 +153,23 @@ class LpTemplate:
         sf.c0 = float(self._c0_const + self._c_model @ self._var_shifts)
         self._c_dirty = False
 
-    def _prepare_run(self):
-        """The StandardForm to solve plus the objective constant.
-
-        Without presolve this is ``self.sf`` with the live ``b``; with
-        presolve it is the reduced form with mapped rhs/objective (and
-        the fixed columns' objective contribution folded into ``c0``).
-        """
-        sf = self.sf
-        if self._c_dirty:
-            self._refresh_objective()
-        ps = self._presolved
-        if ps is None:
-            sf.b = self._b
-            return sf, sf.c0
-        run_sf = ps.sf
-        run_sf.b = ps.reduce_b(self._b)
-        run_sf.c, c0_delta = ps.reduce_c(sf.c)
-        return run_sf, sf.c0 + c0_delta
-
-    def _recover_x(self, y: np.ndarray) -> np.ndarray:
-        if self._presolved is not None:
-            y = self._presolved.expand_y(y)
-        return self.sf.recover(y)
-
     def solve(self, warm: bool = True) -> Solution:
         """Solve with the current rhs/objective data."""
         start = time.perf_counter()
-        if self._presolved is not None and self._presolved.infeasible:
-            self.cold_solves += 1
-            self._basis = None
-            self.solve_seconds += time.perf_counter() - start
-            return Solution(
-                status=SolveStatus.INFEASIBLE,
-                stats=SolveStats(iterations=0, backend="simplex"),
-            )
-        run_sf, c0 = self._prepare_run()
+        sf = self.sf
+        if self._c_dirty:
+            self._refresh_objective()
+        sf.b = self._b
 
         result = None
         if warm and self._basis is not None:
-            result = solve_with_basis(run_sf, self._basis)
+            result = solve_with_basis(sf, self._basis)
         if result is not None:
             # Any non-None warm outcome (optimal, unbounded, infeasible)
             # is definitive; only a None handoff needs the cold path.
             self.warm_solves += 1
         else:
-            result = solve_standard_form(run_sf)
+            result = solve_standard_form(sf)
             self.cold_solves += 1
         self.iterations += result.iterations
         self._basis = result.basis if result.status is SolveStatus.OPTIMAL else None
@@ -234,9 +178,9 @@ class LpTemplate:
         stats = SolveStats(iterations=result.iterations, backend="simplex")
         if result.status is not SolveStatus.OPTIMAL:
             return Solution(status=result.status, stats=stats)
-        x = self._recover_x(result.y)
+        x = sf.recover(result.y)
         values = {var: float(x[i]) for i, var in enumerate(self._variables)}
-        objective = self._sign * (result.objective + c0)
+        objective = self._sign * (result.objective + sf.c0)
         solution = Solution(
             status=SolveStatus.OPTIMAL,
             objective=objective,
@@ -289,28 +233,14 @@ class LpTemplate:
         the carried basis (see :mod:`repro.solver.slab` for the slab
         protocol); the carry then advances to the last instance's basis,
         exactly as a scalar loop over :meth:`solve` would leave it.
+        ``engine`` is passed to :func:`~repro.solver.slab.solve_slab`,
+        which validates it (``None`` reads ``REPRO_SLAB_ENGINE``).
         """
         start = time.perf_counter()
-        engine = engine or slab_engine()
-        if engine not in ("tensor", "scalar"):
-            engine = "tensor"
         b_matrix = np.asarray(b_matrix, dtype=float)
         K = b_matrix.shape[0]
         sf = self.sf
         num_y = sf.a.shape[1]
-
-        if self._presolved is not None and self._presolved.infeasible:
-            self.cold_solves += K
-            self._basis = None
-            self.solve_seconds += time.perf_counter() - start
-            return TemplateSlabResult(
-                statuses=[SolveStatus.INFEASIBLE] * K,
-                objectives=np.full(K, np.nan),
-                x=np.zeros((K, len(self._variables))),
-                ok=np.zeros(K, dtype=bool),
-                iterations=np.zeros(K, dtype=np.int64),
-                warm=np.zeros(K, dtype=bool),
-            )
 
         # ---- objective expansion (model space -> y space) -----------------
         if c_model_matrix is None:
@@ -326,27 +256,8 @@ class LpTemplate:
                 C[:, self._neg_cols] = -c_model_matrix[:, self._neg_rows]
             c0 = self._c0_const + c_model_matrix @ self._var_shifts
 
-        # ---- presolve mapping ---------------------------------------------
-        ps = self._presolved
-        if ps is None:
-            run_sf = sf
-            B_run = b_matrix
-            C_run = C
-        else:
-            run_sf = ps.sf
-            B_run = ps.reduce_b(b_matrix)
-            if C is None:
-                run_sf.c, c0_delta = ps.reduce_c(sf.c)
-                c0 = c0 + c0_delta
-            else:
-                C_run = C[:, ps.keep_cols]
-                if ps.removed_cols.size:
-                    c0 = c0 + C[:, ps.removed_cols] @ ps.removed_vals
-            if C is None:
-                C_run = None
-
         result = solve_slab(
-            run_sf, B_run, C_run, start_basis=self._basis, engine=engine
+            sf, b_matrix, C, start_basis=self._basis, engine=engine
         )
 
         warm_count = int(result.warm.sum())
@@ -359,8 +270,6 @@ class LpTemplate:
 
         # ---- model-space recovery -----------------------------------------
         Y = result.ys
-        if ps is not None:
-            Y = ps.expand_y(Y)
         X = Y[:, self._pos_cols].copy()
         if self._neg_rows.size:
             X[:, self._neg_rows] = X[:, self._neg_rows] - Y[:, self._neg_cols]

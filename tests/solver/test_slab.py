@@ -6,15 +6,28 @@ vectors, same iteration counts, same warm flags, same bases — because
 the tensor engine replicates the scalar engine's arithmetic elementwise.
 Everything else (chunking, bad seeds, degenerate shapes) must preserve
 that equality while still returning correct optima.
+
+The domain-shaped templates at the end drive both engines through
+:meth:`LpTemplate.solve_slab` on LP structures like those of the four
+built-in domains. Their right-hand sides come from fixed integer seeds,
+so every run draws the same batches.
 """
 
 import numpy as np
 import pytest
 
 import repro.solver.slab as slab_mod
+from repro.domains.te import (
+    build_demand_set,
+    fig1a_demand_pairs,
+    fig1a_topology,
+)
+from repro.domains.te.batch_oracle import TeBatchOracle
+from repro.domains.te.optimal import build_optimal_te_model
+from repro.domains.te.pinning import build_pinning_template_model
 from repro.exceptions import ModelError
 from repro.solver import LpTemplate, Model, SolveStatus, quicksum
-from repro.solver.slab import solve_slab
+from repro.solver.slab import slab_engine, solve_slab
 from repro.solver.standard_form import from_matrix_form
 
 
@@ -34,6 +47,10 @@ def build_transport_model():
 def transport_sf():
     model, _ = build_transport_model()
     return from_matrix_form(model.to_matrix_form(), normalize=False)
+
+
+def fig1a_demand_set():
+    return build_demand_set(fig1a_topology(), fig1a_demand_pairs(), num_paths=2)
 
 
 def random_rhs(sf, rng, K):
@@ -252,3 +269,180 @@ class TestTemplateIntegration:
         model.set_objective(x)
         with pytest.raises(ModelError):
             LpTemplate(model)
+
+
+class TestEngineSelection:
+    def test_unset_empty_and_off_select_tensor_slabs(self, monkeypatch):
+        sf = transport_sf()
+        B = random_rhs(sf, np.random.default_rng(8), 12)
+        tensor = solve_slab(sf, B, engine="tensor")
+        monkeypatch.delenv("REPRO_SLAB_ENGINE", raising=False)
+        assert slab_engine() == "tensor"
+        monkeypatch.setenv("REPRO_SLAB_ENGINE", "")
+        assert slab_engine() == "tensor"
+        monkeypatch.setenv("REPRO_SLAB_ENGINE", " Scalar ")
+        assert slab_engine() == "scalar"
+        # ``off`` only selects the TE oracle's per-point loop; a slab
+        # asked for it runs the tensor engine.
+        monkeypatch.setenv("REPRO_SLAB_ENGINE", "off")
+        assert slab_engine() == "off"
+        assert_bitwise_equal(solve_slab(sf, B), tensor)
+        assert_bitwise_equal(solve_slab(sf, B, engine="off"), tensor)
+
+    def test_misspelled_env_value_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SLAB_ENGINE", "tensr")
+        with pytest.raises(ValueError, match="'tensr'.*tensor, scalar, off"):
+            slab_engine()
+        model, _ = build_transport_model()
+        template = LpTemplate(model)
+        with pytest.raises(ValueError, match="REPRO_SLAB_ENGINE"):
+            template.solve_slab(np.tile(template.base_rhs(), (2, 1)))
+        ds = fig1a_demand_set()
+        oracle = TeBatchOracle(ds, threshold=50.0, d_max=100.0)
+        with pytest.raises(ValueError, match="REPRO_SLAB_ENGINE"):
+            oracle(np.full((3, len(ds.keys)), 10.0))
+
+    def test_bad_engine_argument_raises(self):
+        sf = transport_sf()
+        B = random_rhs(sf, np.random.default_rng(9), 4)
+        with pytest.raises(ValueError, match="'Tensor'.*tensor, scalar, off"):
+            solve_slab(sf, B, engine="Tensor")
+        model, _ = build_transport_model()
+        template = LpTemplate(model)
+        with pytest.raises(ValueError, match="'fast'"):
+            template.solve_slab(np.tile(template.base_rhs(), (2, 1)), engine="fast")
+        # the rejected call solved nothing and left no warm-start carry
+        assert template.warm_solves == template.cold_solves == 0
+        assert template._basis is None
+
+
+# ---------------------------------------------------------------------------
+# domain-shaped templates: tensor == scalar bitwise through LpTemplate
+# ---------------------------------------------------------------------------
+
+
+def te_templates():
+    """The real TE templates (fig. 1a), parametric demand rows."""
+    ds = fig1a_demand_set()
+    d_max = 100.0
+    full = {key: d_max for key in ds.keys}
+    ranges = {f"dem[{key}]": (0.0, d_max) for key in ds.keys}
+    opt_model, _ = build_optimal_te_model(ds, full)
+    dp_model, _ = build_pinning_template_model(ds, d_max)
+    dp_ranges = dict(ranges)
+    for demand in ds.demands:
+        for path in demand.paths[1:]:
+            dp_ranges[f"blk[{demand.key}|{path.name}]"] = (0.0, d_max)
+    return [
+        ("te-opt", opt_model, ranges, 101),
+        ("te-dp", dp_model, dp_ranges, 102),
+    ]
+
+
+def binpack_template():
+    """Fractional VBP relaxation: assignment rows + parametric bin caps."""
+    sizes = [0.6, 0.5, 0.4, 0.3]
+    bins = 3
+    model = Model("vbp_lp", sense="min")
+    x = {
+        (i, j): model.add_var(f"x[{i}|{j}]", lb=0.0)
+        for i in range(len(sizes))
+        for j in range(bins)
+    }
+    for i in range(len(sizes)):
+        model.add_constraint(
+            quicksum(x[i, j] for j in range(bins)) == 1.0, name=f"assign[{i}]"
+        )
+        for j in range(bins):
+            model.add_constraint(x[i, j] <= 1.0, name=f"frac[{i}|{j}]")
+    for j in range(bins):
+        model.add_constraint(
+            quicksum(sizes[i] * x[i, j] for i in range(len(sizes))) <= 1.0,
+            name=f"cap[{j}]",
+        )
+    model.set_objective(
+        quicksum((j + 1) * x[i, j] for (i, j) in x)
+    )
+    ranges = {f"cap[{j}]": (0.8, 1.5) for j in range(bins)}
+    return "binpack-lp", model, ranges, 103
+
+
+def sched_template():
+    """Fractional makespan relaxation: parametric machine-load caps."""
+    durations = [3.0, 2.0, 2.0, 1.0]
+    machines = 2
+    model = Model("sched_lp", sense="max")
+    x = {
+        (i, j): model.add_var(f"x[{i}|{j}]", lb=0.0)
+        for i in range(len(durations))
+        for j in range(machines)
+    }
+    for i in range(len(durations)):
+        model.add_constraint(
+            quicksum(x[i, j] for j in range(machines)) <= 1.0,
+            name=f"once[{i}]",
+        )
+    for j in range(machines):
+        model.add_constraint(
+            quicksum(
+                durations[i] * x[i, j] for i in range(len(durations))
+            )
+            <= 4.0,
+            name=f"load[{j}]",
+        )
+    model.set_objective(quicksum(durations[i] * v for (i, _), v in x.items()))
+    ranges = {f"load[{j}]": (1.0, 6.0) for j in range(machines)}
+    return "sched-lp", model, ranges, 104
+
+
+def caching_template():
+    """Fractional Belady relaxation: keep fractions under a cache cap."""
+    weights = [5.0, 4.0, 3.0, 2.0, 1.0]
+    model = Model("cache_lp", sense="max")
+    keep = [
+        model.add_var(f"keep[{i}]", lb=0.0) for i in range(len(weights))
+    ]
+    for i, k in enumerate(keep):
+        model.add_constraint(k <= 1.0, name=f"unit[{i}]")
+    model.add_constraint(quicksum(keep) <= 2.0, name="capacity")
+    model.set_objective(
+        quicksum(w * k for w, k in zip(weights, keep))
+    )
+    ranges = {"capacity": (1.0, float(len(weights)))}
+    return "caching-lp", model, ranges, 105
+
+
+def all_domain_templates():
+    """``(name, model, rhs sampling ranges, rng seed)`` per structure."""
+    return te_templates() + [
+        binpack_template(),
+        sched_template(),
+        caching_template(),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,model,ranges,seed",
+    [pytest.param(*t, id=t[0]) for t in all_domain_templates()],
+)
+def test_domain_template_engines_agree(name, model, ranges, seed):
+    """Template slab property: tensor == scalar bitwise on statuses,
+    objectives, ``x`` and iterations over random rhs in ``ranges``."""
+    K = 16
+    rng = np.random.default_rng(seed)
+    names = sorted(ranges)
+    lows = np.array([ranges[c][0] for c in names])
+    highs = np.array([ranges[c][1] for c in names])
+    B_model = rng.uniform(lows, highs, size=(K, len(names)))
+    results = {}
+    for engine in ("tensor", "scalar"):
+        template = LpTemplate(model)
+        B = np.tile(template.base_rhs(), (K, 1))
+        rows, signs, shifts = template.rhs_map(names)
+        B[:, rows] = signs * B_model - shifts
+        results[engine] = template.solve_slab(B, engine=engine)
+    a, b = results["tensor"], results["scalar"]
+    assert a.statuses == b.statuses, name
+    assert np.array_equal(a.objectives, b.objectives, equal_nan=True)
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.iterations, b.iterations)
