@@ -29,19 +29,22 @@ from repro.analyzer.interface import (
     GapSamples,
 )
 from repro.domains.binpack.dsl_model import build_vbp_graph, vbp_flows_for_result
-from repro.domains.binpack.heuristics import first_fit, first_fit_batch
-from repro.domains.binpack.instance import VbpInstance
-from repro.domains.binpack.optimal import solve_optimal_packing
+from repro.domains.binpack.heuristics import (
+    ORACLE_FIT_TOL,
+    first_fit,
+    first_fit_batch,
+)
+from repro.domains.binpack.instance import PackingResult, VbpInstance
+from repro.domains.binpack.optimal import (
+    optimal_packing_batch,
+    solve_optimal_packing,
+)
+from repro.domains.partitions import MAX_ENUM_ITEMS
 from repro.solver import Model, VarType, quicksum
 from repro.subspace.region import Box
 
 #: Strict-side margin of the fit indicator (absolute, bin capacity units).
 FIT_EPS = 1e-4
-
-#: Fit tolerance of the gap oracle's FF simulation: matches the MILP
-#: solver's feasibility tolerance, so a "fits" verdict at the boundary is
-#: decided the same way by the encoding and the oracle.
-ORACLE_FIT_TOL = 1e-6
 
 
 def build_ff_encoding(
@@ -204,10 +207,14 @@ def build_ff_encoding(
 class FfBatchOracle:
     """Native batched ``FF(Y) - OPT(Y)`` oracle.
 
-    The First Fit side is fully vectorized over the batch
-    (:func:`~repro.domains.binpack.heuristics.first_fit_batch`, bit-identical
-    to the scalar simulation); the optimal side still needs one MILP per
-    point, so the engine's memoizing cache carries the re-sampled overlap.
+    Both sides are vectorized over the batch: First Fit by
+    :func:`~repro.domains.binpack.heuristics.first_fit_batch`
+    (bit-identical to the scalar simulation) and the optimum by exact
+    enumeration
+    (:func:`~repro.domains.binpack.optimal.optimal_packing_batch`), up to
+    ``MAX_ENUM_ITEMS`` balls. Larger problems have no batched oracle: the
+    engine's scalar loop, counted as ``scalar_fallback``, solves one MILP
+    per point.
     """
 
     def __init__(self, template: VbpInstance, capacity: float) -> None:
@@ -222,12 +229,7 @@ class FfBatchOracle:
             num_bins=self.template.num_bins,
             tol=ORACLE_FIT_TOL,
         )
-        opt_bins = np.array(
-            [
-                solve_optimal_packing(self.template.with_sizes(x)).bins_used
-                for x in xs
-            ]
-        )
+        opt_bins, _ = optimal_packing_batch(xs, self.capacity)
         return GapSamples(
             xs,
             benchmark_values=-opt_bins.astype(float),
@@ -274,6 +276,7 @@ def first_fit_problem(
     graph = build_vbp_graph(
         num_balls, num_balls, capacity=capacity, max_ball=max_ball
     )
+    enumerable = num_balls <= MAX_ENUM_ITEMS
 
     def heuristic_flows(x: np.ndarray):
         instance = template.with_sizes(np.asarray(x, dtype=float))
@@ -283,9 +286,12 @@ def first_fit_problem(
 
     def benchmark_flows(x: np.ndarray):
         instance = template.with_sizes(np.asarray(x, dtype=float))
-        return vbp_flows_for_result(
-            graph, instance, solve_optimal_packing(instance)
-        )
+        if enumerable:
+            _, assignment = optimal_packing_batch(x, capacity)
+            packing = PackingResult(assignment[0].tolist(), algorithm="optimal")
+        else:
+            packing = solve_optimal_packing(instance)
+        return vbp_flows_for_result(graph, instance, packing)
 
     def total_volume(x: np.ndarray) -> float:
         return float(np.sum(x))
@@ -317,7 +323,7 @@ def first_fit_problem(
             np.zeros(num_balls), np.full(num_balls, max_ball)
         ),
         evaluate=evaluate,
-        evaluate_batch=FfBatchOracle(template, capacity),
+        evaluate_batch=FfBatchOracle(template, capacity) if enumerable else None,
         graph=graph,
         exact_model=lambda: build_ff_encoding(
             num_balls, m, capacity=capacity, max_ball=max_ball

@@ -12,6 +12,12 @@ import numpy as np
 
 from repro.domains.binpack.instance import PackingResult, VbpInstance
 
+#: Fit tolerance of the gap oracle: a load fits when it is at most
+#: ``capacity + ORACLE_FIT_TOL``. It matches the MILP solver's feasibility
+#: tolerance, so a "fits" verdict at the boundary is decided the same way
+#: by the analyzer encoding, First Fit, the exact optimum and its bound.
+ORACLE_FIT_TOL = 1e-6
+
 
 def _fits(load: np.ndarray, ball: np.ndarray, capacity: np.ndarray, tol: float) -> bool:
     return bool(np.all(load + ball <= capacity + tol))

@@ -30,6 +30,6 @@ PLUGIN = DomainPlugin(
     ),
     smoke_kwargs={"num_jobs": 3, "num_machines": 2},
     config_defaults={"analyzer": "blackbox"},
-    capabilities=("dsl-graph", "blackbox-analyzer"),
+    capabilities=("native-batch-oracle", "dsl-graph", "blackbox-analyzer"),
     legacy_cli=("sched",),
 )
