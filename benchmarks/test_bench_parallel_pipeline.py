@@ -1,20 +1,17 @@
-"""PARALLEL: sharded work-unit execution — process pool vs serial.
+"""PARALLEL: campaign units on a process pool vs in-process.
 
 Not a paper artifact: this tracks the parallel pipeline subsystem
-(DESIGN.md §9) from the PR that introduced it onward. The adversarial
-subspace generator is embarrassingly parallel across oracle work units,
-so with the single-oracle path made cheap (PR 1) the wall-clock bound is
-how well those units spread across cores.
+(DESIGN.md §9). The unit of parallel work is a whole campaign job, so
+the wall-clock bound of a campaign is how well its jobs spread across
+cores.
 
-Two measurements on the TE demand-pinning problem (Fig. 1a topology):
-
-* **unit throughput** — the same placement-free unit list executed by
-  the in-process ``SerialExecutor`` vs a 4-worker ``ProcessExecutor``;
-  the acceptance bar is ≥ 2x wall-clock at 4 workers (skipped on
-  machines with fewer than 4 CPUs — CI provides them);
-* **pipeline end-to-end** — a full ``XPlain.run()`` at ``workers=4``
-  vs serial, reported for context (the analyzer's MILP solves are
-  inherently sequential, so this ratio is below the unit ratio).
+One measurement on the TE demand-pinning problem (Fig. 1a topology):
+the same campaign of ``JOBS`` equal jobs (same problem, config and
+seed, about 1.5 s each) run by ``run_campaign`` in-process at
+``workers=1`` vs on a ``WORKERS``-process pool. The acceptance bar is
+≥ 2x wall-clock at 4 workers (skipped on machines with fewer than 4
+CPUs — CI provides them), and the two campaign reports must be
+identical outside their timing blocks.
 """
 
 from __future__ import annotations
@@ -22,21 +19,16 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import comparison_row, report
-from repro import XPlain, XPlainConfig
-from repro.domains.te import fig1a_demand_pinning_problem
-from repro.parallel import EvalUnit, ProcessExecutor, SerialExecutor, plan_units
-from repro.subspace import GeneratorConfig
+from repro.parallel.campaign import CampaignSpec, deterministic_view, run_campaign
 
-POINTS = 1024
-UNIT_POINTS = 32
+JOBS = 4
 WORKERS = 4
 
-#: acceptance bar for the 4-worker unit-throughput speedup; override via
-#: the environment for machines with busy/heterogeneous cores
+#: acceptance bar for the 4-worker campaign speedup; override via the
+#: environment for machines with busy/heterogeneous cores
 MIN_SPEEDUP = float(os.environ.get("PARALLEL_BENCH_MIN_SPEEDUP", "2.0"))
 
 needs_cores = pytest.mark.skipif(
@@ -45,122 +37,64 @@ needs_cores = pytest.mark.skipif(
 )
 
 
-def _units(problem):
-    rng = np.random.default_rng(7)
-    points = rng.uniform(0.0, 100.0, size=(POINTS, problem.dim))
-    return [
-        EvalUnit(points[start:stop])
-        for start, stop in plan_units(POINTS, UNIT_POINTS)
-    ]
+def _campaign() -> CampaignSpec:
+    job = {
+        "problem": {"factory": "repro.domains.te:fig1a_demand_pinning_problem"},
+        "seed": 2,
+    }
+    return CampaignSpec.from_dict(
+        {
+            "name": "parallel-bench",
+            "defaults": {
+                "explainer_samples": 192,
+                "generalizer_samples": 128,
+                "generator": {
+                    "max_subspaces": 1,
+                    "tree_extra_samples": 192,
+                    "significance_pairs": 32,
+                },
+            },
+            "jobs": [dict(job, name=f"fig1a-{i}") for i in range(JOBS)],
+        }
+    )
 
 
 @needs_cores
-def test_parallel_unit_speedup(benchmark):
-    problem = fig1a_demand_pinning_problem()
-    units = _units(problem)
-
-    serial = SerialExecutor(problem)
-    start = time.perf_counter()
-    serial_results = serial.map_units(units)
-    serial_seconds = time.perf_counter() - start
-
-    executor = ProcessExecutor(WORKERS, spec=problem.spec)
-    try:
-        # Let the pool fork and build its per-worker problems/templates
-        # before timing: a pipeline run reuses the pool across hundreds
-        # of batches, so steady-state throughput is the honest number.
-        executor.map_units(units[:WORKERS])
-
-        def run_parallel():
-            start = time.perf_counter()
-            results = executor.map_units(units)
-            elapsed = time.perf_counter() - start
-            return results, elapsed
-
-        (parallel_results, parallel_seconds) = benchmark.pedantic(
-            run_parallel, rounds=1, iterations=1
-        )
-    finally:
-        executor.close()
-
-    # Placement-free units: the pool must return bit-identical arrays.
-    for s, p in zip(serial_results, parallel_results):
-        assert np.array_equal(s["benchmark"], p["benchmark"])
-        assert np.array_equal(s["heuristic"], p["heuristic"])
-
-    speedup = serial_seconds / parallel_seconds
-    benchmark.extra_info["serial_seconds"] = serial_seconds
-    benchmark.extra_info["parallel_seconds"] = parallel_seconds
-    benchmark.extra_info["speedup"] = speedup
-    benchmark.extra_info["workers"] = WORKERS
-
-    rows = [
-        "PARALLEL - sharded oracle units (TE demand pinning, fig. 1a)",
-        comparison_row(
-            "serial executor",
-            "-",
-            f"{serial_seconds * 1e3:.0f} ms / {POINTS} pts",
-        ),
-        comparison_row(
-            f"process executor ({WORKERS} workers)",
-            f">= {MIN_SPEEDUP:.0f}x",
-            f"{parallel_seconds * 1e3:.0f} ms ({speedup:.2f}x)",
-        ),
-    ]
-    report(benchmark, rows)
-
-    assert speedup >= MIN_SPEEDUP
-
-
-@needs_cores
-def test_pipeline_end_to_end_speedup(benchmark):
-    """Full XPlain.run() at workers=4 vs serial (reported, not gated —
-    the MetaOpt analyzer's MILP solves stay sequential by design)."""
-
-    def config(**overrides):
-        return XPlainConfig(
-            generator=GeneratorConfig(
-                max_subspaces=1,
-                tree_extra_samples=192,
-                significance_pairs=32,
-                seed=2,
-            ),
-            explainer_samples=192,
-            generalizer_samples=128,
-            unit_points=UNIT_POINTS,
-            seed=2,
-            **overrides,
-        )
+def test_parallel_campaign_speedup(benchmark):
+    spec = _campaign()
 
     start = time.perf_counter()
-    serial_report = XPlain(fig1a_demand_pinning_problem(), config()).run()
+    serial_report = run_campaign(spec, workers=1)
     serial_seconds = time.perf_counter() - start
 
     def run_parallel():
         start = time.perf_counter()
-        result = XPlain(
-            fig1a_demand_pinning_problem(),
-            config(executor="process", workers=WORKERS),
-        ).run()
+        result = run_campaign(spec, workers=WORKERS)
         return result, time.perf_counter() - start
 
     (parallel_report, parallel_seconds) = benchmark.pedantic(
         run_parallel, rounds=1, iterations=1
     )
 
-    assert parallel_report.worst_gap == serial_report.worst_gap
+    # Placement-free campaign units: the pool must not change a report.
+    assert deterministic_view(parallel_report) == deterministic_view(serial_report)
+
     speedup = serial_seconds / parallel_seconds
     benchmark.extra_info["serial_seconds"] = serial_seconds
     benchmark.extra_info["parallel_seconds"] = parallel_seconds
     benchmark.extra_info["speedup"] = speedup
+    benchmark.extra_info["workers"] = WORKERS
+    benchmark.extra_info["jobs"] = JOBS
 
     rows = [
-        "PARALLEL - XPlain end to end (TE demand pinning, fig. 1a)",
-        comparison_row("serial pipeline", "-", f"{serial_seconds:.2f} s"),
+        f"PARALLEL - {JOBS} campaign jobs (TE demand pinning, fig. 1a)",
+        comparison_row("workers=1 (in-process)", "-", f"{serial_seconds:.2f} s"),
         comparison_row(
-            f"process pipeline ({WORKERS} workers)",
-            "reported",
+            f"workers={WORKERS} (process pool)",
+            f">= {MIN_SPEEDUP:.0f}x",
             f"{parallel_seconds:.2f} s ({speedup:.2f}x)",
         ),
     ]
     report(benchmark, rows)
+
+    assert speedup >= MIN_SPEEDUP

@@ -184,7 +184,7 @@ class AnalyzedProblem:
     #: treats as pinned must be snapped to T so the oracle agrees).
     canonicalize: Callable[[np.ndarray], np.ndarray] | None = None
     #: picklable rebuild recipe (:class:`repro.parallel.spec.ProblemSpec`);
-    #: required by the process executor, which reconstructs the problem —
+    #: campaign units name their problem by it and reconstruct it —
     #: closures and all — inside each worker. Domain constructors whose
     #: arguments are JSON-safe attach one automatically.
     spec: "object | None" = None

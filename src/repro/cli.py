@@ -24,12 +24,12 @@ without writing Python:
 * ``runs``     — inspect and garbage-collect a run store
   (``list`` / ``show`` / ``gc``).
 
-Every subcommand accepts ``--workers N``; on ``analyze`` (and its
-aliases) and ``campaign``, ``N > 1`` shards work across ``N`` worker
-processes with output bit-identical to ``--workers 1`` for a fixed seed
-(DESIGN.md §9). The table/demo subcommands (``fig1a``, ``encode``,
-``type3``) run no shardable pipeline work and say so when asked for
-workers.
+The unit of parallel work is a whole campaign job (DESIGN.md §9):
+``campaign``, ``serve``, ``fabric serve`` and ``fabric chaos-smoke``
+take ``--workers N`` and run up to ``N`` jobs at once, with reports
+bit-identical to ``--workers 1`` for a fixed seed. ``analyze`` runs one
+job in-process; to parallelize analyses, put them in a campaign spec
+(``repro domains --campaign-spec``).
 
 The domain subcommands are generated from the plugin registry
 (:mod:`repro.domains.registry`, DESIGN.md §11): a new domain package
@@ -50,7 +50,8 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for sharded execution (1 = serial)",
+        help="campaign jobs run at once (a whole job is the unit of "
+        "parallel work; 1 = one after another)",
     )
 
 
@@ -84,9 +85,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="bandit rounds per search (one sharded oracle batch each)",
+        help="bandit rounds per search (one oracle batch each)",
     )
-    _add_workers(parser)
 
 
 #: knob type name -> argparse ``type=`` callable
@@ -196,20 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
         "('all' = one job per registered domain)",
     )
 
-    fig1a = sub.add_parser("fig1a", help="print the Fig. 1a worked-example table")
-    _add_workers(fig1a)
-
-    encode = sub.add_parser(
-        "encode", help="Theorem A.1 demo (knapsack as flow graph)"
-    )
-    _add_workers(encode)
+    sub.add_parser("fig1a", help="print the Fig. 1a worked-example table")
+    sub.add_parser("encode", help="Theorem A.1 demo (knapsack as flow graph)")
 
     type3 = sub.add_parser(
         "type3", help="cross-instance generalization on line topologies"
     )
     type3.add_argument("--instances", type=int, default=8)
     type3.add_argument("--seed", type=int, default=0)
-    _add_workers(type3)
 
     campaign = sub.add_parser(
         "campaign",
@@ -403,13 +397,10 @@ def _pipeline_config(args, overrides: dict | None = None):
     from repro.exceptions import AnalyzerError
     from repro.subspace.generator import GeneratorConfig
 
-    workers = getattr(args, "workers", 1)
     params = dict(
         generator=GeneratorConfig(max_subspaces=args.subspaces, seed=args.seed),
         explainer_samples=args.samples,
         generalizer_samples=args.samples,
-        executor="process" if workers > 1 else "serial",
-        workers=workers,
         seed=args.seed,
     )
     params.update(overrides or {})
@@ -547,16 +538,7 @@ def cmd_domains(args) -> int:
     return 0
 
 
-def _note_workers_unused(args) -> None:
-    if getattr(args, "workers", 1) > 1:
-        print(
-            f"note: --workers {args.workers} ignored; this subcommand "
-            "runs no shardable pipeline work"
-        )
-
-
 def cmd_fig1a(args) -> int:
-    _note_workers_unused(args)
     from repro.core.visualize import render_gap_table
     from repro.domains.te import (
         build_demand_set,
@@ -577,7 +559,6 @@ def cmd_fig1a(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    _note_workers_unused(args)
     from repro.compiler import encode_model
     from repro.solver import Model, quicksum
 
@@ -601,7 +582,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_type3(args) -> int:
-    _note_workers_unused(args)
     from repro.analyzer.bilevel import MetaOptAnalyzer
     from repro.generalize import (
         EnumerativeGeneralizer,

@@ -14,7 +14,6 @@ from repro.subspace.generator import GeneratorConfig
 ANALYZERS = ("auto", "metaopt", "blackbox")
 BACKENDS = ("auto", "scipy", "simplex")
 BLACKBOX_STRATEGIES = ("random", "hillclimb", "anneal")
-EXECUTORS = ("serial", "process", "fabric")
 # SEARCH_POLICIES is defined next to the policies themselves
 # (repro.search.policy) and re-exported here for config consumers.
 
@@ -43,16 +42,6 @@ class XPlainConfig:
     explainer_cutoff: float = 0.2
     #: §5.4 within-instance generalization samples (0 disables)
     generalizer_samples: int = 200
-    #: work-unit execution backend: "serial" runs units in-process,
-    #: "process" shards them across ``workers`` worker processes (the
-    #: problem then needs a picklable spec; see DESIGN.md §9)
-    executor: str = "serial"
-    #: worker-process count for the process executor
-    workers: int = 1
-    #: points per evaluation work unit (sharding granularity; the unit
-    #: plan depends only on this, never on ``workers``, which is what
-    #: keeps parallel output bit-identical to serial)
-    unit_points: int = 64
     #: persistent run-store directory (None disables persistence). When
     #: set, the pipeline spills its gap-oracle memo cache into the store
     #: so repeated analyses of the same problem skip re-solving points
@@ -72,7 +61,7 @@ class XPlainConfig:
     #: the shared ledger (uniform only *tracks* spending — it must stay
     #: bit-identical to the pre-search pipeline, so it never clips)
     search_budget: int = 4096
-    #: bandit rounds per search (each round is one sharded oracle batch)
+    #: bandit rounds per search (each round is one oracle batch)
     search_rounds: int = 8
     seed: int = 0
 
@@ -91,24 +80,6 @@ class XPlainConfig:
             raise AnalyzerError(
                 f"unknown blackbox strategy {self.blackbox_strategy!r}; "
                 f"expected one of {BLACKBOX_STRATEGIES}"
-            )
-        if self.executor not in EXECUTORS:
-            raise AnalyzerError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTORS}"
-            )
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise AnalyzerError(
-                f"workers must be an integer >= 1, got {self.workers!r}"
-            )
-        if self.executor == "serial" and self.workers != 1:
-            raise AnalyzerError(
-                f"the serial executor is single-worker; got workers="
-                f"{self.workers}. Set executor='process' to parallelize."
-            )
-        if not isinstance(self.unit_points, int) or self.unit_points < 1:
-            raise AnalyzerError(
-                f"unit_points must be an integer >= 1, got {self.unit_points!r}"
             )
         if self.store_path is not None and not isinstance(self.store_path, str):
             raise AnalyzerError(

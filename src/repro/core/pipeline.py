@@ -92,33 +92,19 @@ class XPlain:
         raise AnalyzerError(f"unknown analyzer mode {mode!r}")
 
     # ------------------------------------------------------------------
-    def make_executor(self):
-        """The work-unit executor this run's configuration asks for."""
-        from repro.parallel.executor import make_executor
-
-        return make_executor(
-            self.config.executor, self.config.workers, self.problem
-        )
-
-    # ------------------------------------------------------------------
     def run(self) -> XPlainReport:
         """Execute the full pipeline and return the three-type report.
 
         Every stage's bulk oracle work flows through the problem's
-        :class:`~repro.oracle.engine.OracleEngine`, which this method
-        routes through the configured executor: miss batches are cut
-        into placement-free work units and executed in-process
-        (``executor="serial"``) or across a process pool
-        (``executor="process"``, ``workers=N``). The unit plan and all
-        random streams are independent of the worker count, so a fixed
-        seed gives bit-identical reports at any parallelism (DESIGN.md
-        §9).
+        :class:`~repro.oracle.engine.OracleEngine`, which evaluates each
+        miss batch as one stateless unit. A run is single-process; runs
+        parallelize as whole campaign units (DESIGN.md §9), and every
+        random stream is derived from the seed, so a fixed seed gives a
+        bit-identical report wherever the run executes.
         """
         config = self.config
         start = time.perf_counter()
-        executor = self.make_executor()
         engine = self.problem.oracle
-        engine.use_executor(executor, config.unit_points)
         spill = None
         try:
             # Persistent memoization: with a store configured, the
@@ -192,8 +178,6 @@ class XPlain:
                         observations
                     )
         finally:
-            self.problem.oracle.use_executor(None)
-            executor.close()
             if spill is not None:
                 engine.configure_cache(spill=None)
                 spill.close()

@@ -2,9 +2,9 @@
 
 Scores many traces per call: quantize the whole ``(n, T)`` input block
 once, then run the lockstep-vectorized policy and Belady simulators over
-the full batch. Stateless (no warm starts, no incremental tables), so
-work units are placement-free without a ``reset_state`` hook and the
-sharded executor can split batches arbitrarily.
+the full batch. Stateless (no warm starts, no incremental tables), so a
+batch's answers depend only on its own points without a ``reset_state``
+hook.
 """
 
 from __future__ import annotations

@@ -397,9 +397,9 @@ def fig1a_demand_pinning_problem(
     :class:`~repro.domains.te.demands.DemandSet` and therefore cannot be
     rebuilt from JSON-safe arguments), this constructor is fully
     described by scalars, so it carries a
-    :class:`~repro.parallel.spec.ProblemSpec` and works under the
-    process executor and in campaign specs. ``fig4a`` swaps in the eight
-    demand pairs of Fig. 4a.
+    :class:`~repro.parallel.spec.ProblemSpec` and works in campaign
+    specs, whose units rebuild their problem inside a worker process.
+    ``fig4a`` swaps in the eight demand pairs of Fig. 4a.
     """
     from repro.domains.te.demands import (
         build_demand_set,

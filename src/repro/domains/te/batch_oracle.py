@@ -223,10 +223,11 @@ class TeBatchOracle:
 
     # ------------------------------------------------------------------
     def reset_state(self) -> None:
-        """Drop both templates' warm-start bases (work-unit boundary).
+        """Drop both templates' warm-start bases (batch boundary).
 
-        Makes a batch's results a pure function of the batch itself, so
-        sharded execution is placement-free (DESIGN.md §9).
+        The oracle engine calls this before every miss batch, making a
+        batch's results a pure function of the batch itself rather than
+        of whatever the templates solved before (DESIGN.md §9).
         """
         for template in (self._opt_template, self._dp_template):
             if template is not None:

@@ -19,10 +19,10 @@ and dropped heartbeats on a fixed plan.
 """
 
 from repro.fabric.chaos import ChaosMonkey, ChaosPlan, ChaosRule, run_chaos_matrix
-from repro.fabric.executor import FabricExecutor, local_fabric
+from repro.fabric.executor import FabricExecutor
 from repro.fabric.queue import WorkQueue, fabric_db_path
 from repro.fabric.supervisor import FabricSupervisor
-from repro.fabric.units import decode_result, encode_unit
+from repro.fabric.units import encode_unit
 from repro.fabric.worker import worker_main
 
 __all__ = [
@@ -32,10 +32,8 @@ __all__ = [
     "FabricExecutor",
     "FabricSupervisor",
     "WorkQueue",
-    "decode_result",
     "encode_unit",
     "fabric_db_path",
-    "local_fabric",
     "run_chaos_matrix",
     "worker_main",
 ]

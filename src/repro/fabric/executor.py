@@ -1,11 +1,10 @@
 """The fabric as an :class:`~repro.parallel.executor.Executor`.
 
-:class:`FabricExecutor` speaks the same two-method protocol
-(``map_units``/``iter_units``) as the serial and process executors, so
-every existing consumer — the oracle engine's sharded dispatch,
-:func:`~repro.parallel.campaign.run_campaign`, the store-backed resume
-path, the analysis service — gets lease-based fault tolerance without
-knowing the fabric exists.
+:class:`FabricExecutor` speaks the same protocol (``iter_units`` +
+``close``) as the serial and process executors, so every existing
+consumer — :func:`~repro.parallel.campaign.run_campaign`, the
+store-backed resume path, the analysis service — gets lease-based fault
+tolerance without knowing the fabric exists.
 
 Submission enqueues each unit's content-addressed envelope; the wait
 loop then polls for results *in unit order* (preserving the streaming
@@ -13,7 +12,7 @@ persistence contract crash-safe campaigns rely on), running the lease
 reaper and the supervisor's restart pass on every tick. Three exits per
 unit:
 
-* ``done``        — yield the decoded result;
+* ``done``        — yield the stored result;
 * ``quarantined`` — the unit exhausted its retries; raise with the
   recorded error (the campaign fails, poisoned work never loops);
 * no progress and **no live workers** — graceful degradation: with
@@ -21,69 +20,54 @@ unit:
   pending units itself through the very same claim/commit path, so a
   campaign submitted to a dead fleet still converges, exactly once.
 
-Two ownership modes: constructed over a shared queue/supervisor (the
-service), ``close()`` leaves the infrastructure alone; constructed via
-:func:`local_fabric` (``XPlainConfig.executor="fabric"``), it owns an
-ephemeral queue + fleet and tears them down on ``close()``.
+The queue and the fleet belong to the caller (the service, the chaos
+harness); ``close()`` leaves them running.
 """
 
 from __future__ import annotations
 
-import tempfile
 import time
 from typing import Iterator, Sequence
 
 from repro.exceptions import FabricError
 from repro.fabric.queue import WorkQueue
 from repro.fabric.supervisor import FabricSupervisor
-from repro.fabric.units import EnvelopeRunner, decode_result, encode_unit
+from repro.fabric.units import encode_unit, run_envelope
 
 #: worker ID the driver commits under when degrading to inline execution
 INLINE_WORKER = "inline-driver"
 
 
 class FabricExecutor:
-    """Run work units through the lease queue + worker fleet."""
-
-    in_process = False
+    """Run campaign units through the lease queue + worker fleet."""
 
     def __init__(
         self,
         queue: WorkQueue,
         supervisor: FabricSupervisor | None = None,
-        problem_spec=None,
         group_id: str | None = None,
         max_attempts: int | None = None,
         poll_interval: float = 0.02,
         lease_seconds: float = 10.0,
         unit_timeout: float | None = None,
         inline_fallback: bool = True,
-        owns_infra: bool = False,
     ) -> None:
         self.queue = queue
         self.supervisor = supervisor
-        self.problem_spec = problem_spec
         self.group_id = group_id
         self.max_attempts = max_attempts
         self.poll_interval = poll_interval
         self.lease_seconds = lease_seconds
         self.unit_timeout = unit_timeout
         self.inline_fallback = inline_fallback
-        self._owns_infra = owns_infra
-        self._tempdir: tempfile.TemporaryDirectory | None = None
-        self._runner = EnvelopeRunner()
 
     # ------------------------------------------------------------------
-    def map_units(self, units: Sequence) -> list:
-        return list(self.iter_units(units))
-
     def iter_units(self, units: Sequence) -> Iterator:
         if not units:
             return
-        encoded = []
+        unit_ids = []
         for unit in units:
-            spec = self.problem_spec or getattr(unit, "spec", None)
-            unit_id, envelope = encode_unit(unit, problem_spec=spec)
+            unit_id, envelope = encode_unit(unit)
             self.queue.enqueue(
                 unit_id,
                 envelope["kind"],
@@ -91,9 +75,9 @@ class FabricExecutor:
                 group_id=self.group_id,
                 max_attempts=self.max_attempts,
             )
-            encoded.append((unit_id, envelope["kind"]))
-        for unit_id, kind in encoded:
-            yield decode_result(kind, self._await_unit(unit_id))
+            unit_ids.append(unit_id)
+        for unit_id in unit_ids:
+            yield self._await_unit(unit_id)
 
     def _await_unit(self, unit_id: str) -> dict:
         """Block until one unit is done (or quarantined / timed out)."""
@@ -144,7 +128,7 @@ class FabricExecutor:
         if claimed is None:
             return False
         try:
-            result = self._runner.run(claimed["payload"])
+            result = run_envelope(claimed["payload"])
         except Exception as exc:  # noqa: BLE001 - poison units quarantine
             self.queue.fail(
                 claimed["unit_id"],
@@ -157,47 +141,4 @@ class FabricExecutor:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down owned infrastructure; shared infra is left running."""
-        if not self._owns_infra:
-            return
-        if self.supervisor is not None:
-            self.supervisor.stop()
-            self.supervisor = None
-        if self._tempdir is not None:
-            self._tempdir.cleanup()
-            self._tempdir = None
-
-
-def local_fabric(
-    workers: int,
-    spec=None,
-    lease_seconds: float = 10.0,
-    max_attempts: int = 3,
-    directory: str | None = None,
-) -> FabricExecutor:
-    """An ephemeral single-machine fabric (``executor="fabric"``).
-
-    Builds a queue in a temporary directory, spawns ``workers`` worker
-    processes over it, and returns an executor that owns both —
-    ``close()`` stops the fleet and removes the directory. This is how a
-    plain ``XPlain`` run or ``run_campaign`` call gets fabric semantics
-    without a long-lived service.
-    """
-    tempdir = None
-    if directory is None:
-        tempdir = tempfile.TemporaryDirectory(prefix="xplain-fabric-")
-        directory = tempdir.name
-    queue = WorkQueue(directory)
-    supervisor = FabricSupervisor(
-        directory, workers=workers, lease_seconds=lease_seconds
-    ).start()
-    executor = FabricExecutor(
-        queue,
-        supervisor=supervisor,
-        problem_spec=spec,
-        max_attempts=max_attempts,
-        lease_seconds=lease_seconds,
-        owns_infra=True,
-    )
-    executor._tempdir = tempdir
-    return executor
+        """Nothing to release: the queue and fleet belong to the caller."""

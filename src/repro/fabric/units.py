@@ -1,119 +1,39 @@
-"""Content-addressed envelopes: work units as JSON, both directions.
+"""Content-addressed envelopes: campaign units as JSON, both directions.
 
 The fabric queue stores JSON, not pickles, so a unit must round-trip
-through a JSON-safe *envelope*:
-
-* a :class:`~repro.parallel.work.CampaignUnit` becomes
-  ``{"kind": "campaign", "job": <payload>}`` addressed by the store's
-  :func:`~repro.store.ids.run_id_for` — the queue, the run store, and
-  campaign resume all agree on what "the same unit" means;
-* an :class:`~repro.parallel.work.EvalUnit` becomes ``{"kind": "eval",
-  "points": [[...]], "problem": <spec dict>}`` addressed by a digest of
-  that envelope. The problem spec rides along so any worker can rebuild
-  the problem; workers keep one resident problem per distinct spec.
-
-Floats survive exactly: Python's ``json`` emits ``repr(float)`` (the
-shortest round-tripping form), so arrays decoded from a result envelope
-are bit-identical to the arrays the worker computed — the fabric adds
-no numeric noise to the determinism argument.
+through a JSON-safe *envelope*: a
+:class:`~repro.parallel.work.CampaignUnit` becomes ``{"kind":
+"campaign", "job": <payload>}`` addressed by the store's
+:func:`~repro.store.ids.run_id_for` — the queue, the run store, and
+campaign resume all agree on what "the same unit" means. A unit's
+result is its JSON-safe report dict, stored as is.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import FabricError
-from repro.parallel.work import CampaignUnit, EvalUnit
-from repro.store.ids import content_digest, run_id_for
-
-#: envelope kinds the fabric knows how to execute
-KINDS = ("campaign", "eval")
+from repro.parallel.work import CampaignUnit
+from repro.store.ids import run_id_for
 
 
-def encode_unit(unit, problem_spec=None) -> tuple[str, dict]:
+def encode_unit(unit) -> tuple[str, dict]:
     """One work unit -> (content-addressed unit ID, JSON envelope)."""
     if isinstance(unit, CampaignUnit):
         return run_id_for(unit.job), {"kind": "campaign", "job": unit.job}
-    if isinstance(unit, EvalUnit):
-        envelope = {
-            "kind": "eval",
-            "points": np.asarray(unit.points, dtype=float).tolist(),
-            "problem": problem_spec.to_dict() if problem_spec else None,
-        }
-        return content_digest("unit", envelope), envelope
     raise FabricError(
         f"cannot encode work unit of type {type(unit).__name__}; "
-        "the fabric ships CampaignUnit and EvalUnit payloads"
+        "the fabric ships CampaignUnit payloads"
     )
 
 
-def encode_result(kind: str, result: dict) -> dict:
-    """A unit's result dict in JSON-safe form (arrays -> lists)."""
-    if kind == "campaign":
-        return result
-    return {
-        "benchmark": np.asarray(result["benchmark"], dtype=float).tolist(),
-        "heuristic": np.asarray(result["heuristic"], dtype=float).tolist(),
-        "feasible": np.asarray(result["feasible"], dtype=bool).tolist(),
-        "counters": dict(result["counters"]),
-        "path": result["path"],
-    }
+def run_envelope(envelope: dict) -> dict:
+    """Execute one envelope, returning its JSON-safe result.
 
-
-def decode_result(kind: str, result: dict) -> dict:
-    """The inverse of :func:`encode_result` (lists -> arrays)."""
-    if kind == "campaign":
-        return result
-    return {
-        "benchmark": np.asarray(result["benchmark"], dtype=float),
-        "heuristic": np.asarray(result["heuristic"], dtype=float),
-        "feasible": np.asarray(result["feasible"], dtype=bool),
-        "counters": dict(result["counters"]),
-        "path": result["path"],
-    }
-
-
-class EnvelopeRunner:
-    """Executes decoded envelopes; caches one problem per distinct spec.
-
-    This is the fabric's face of the existing ``_run_unit`` path: an
-    envelope rebuilds the same :class:`EvalUnit`/:class:`CampaignUnit`
-    and runs it through :func:`~repro.parallel.work.execute_unit`, so a
-    unit's result is byte-for-byte what the serial and process executors
-    would produce.
+    The envelope rebuilds the same :class:`CampaignUnit` the serial and
+    process executors run, so a unit's result is byte-for-byte what
+    they would produce.
     """
-
-    def __init__(self) -> None:
-        self._problems: dict[str, object] = {}
-
-    def _resident_problem(self, spec_data: dict | None):
-        if spec_data is None:
-            raise FabricError(
-                "eval envelope carries no problem spec; the worker cannot "
-                "rebuild the problem (construct it through a spec-attaching "
-                "domain constructor)"
-            )
-        from repro.parallel.spec import ProblemSpec
-        from repro.store.ids import canonical_json
-
-        key = canonical_json(spec_data)
-        if key not in self._problems:
-            self._problems[key] = ProblemSpec.from_dict(spec_data).build()
-        return self._problems[key]
-
-    def run(self, envelope: dict) -> dict:
-        """Execute one envelope, returning its JSON-safe result."""
-        from repro.parallel.work import execute_unit
-
-        kind = envelope.get("kind")
-        if kind == "campaign":
-            result = execute_unit(CampaignUnit(envelope["job"]))
-        elif kind == "eval":
-            problem = self._resident_problem(envelope.get("problem"))
-            unit = EvalUnit(np.asarray(envelope["points"], dtype=float))
-            result = execute_unit(unit, problem)
-        else:
-            raise FabricError(
-                f"unknown envelope kind {kind!r}; expected one of {KINDS}"
-            )
-        return encode_result(kind, result)
+    kind = envelope.get("kind")
+    if kind != "campaign":
+        raise FabricError(f"unknown envelope kind {kind!r}; expected 'campaign'")
+    return CampaignUnit(envelope["job"]).run()

@@ -14,8 +14,8 @@ The loop per unit::
   worker's lease never expires mid-unit, while a killed worker's lease
   expires within one ``lease_seconds``.
 * Execution goes through the same
-  :func:`~repro.parallel.work.execute_unit` path as every other
-  executor (via :class:`~repro.fabric.units.EnvelopeRunner`), so unit
+  :meth:`~repro.parallel.work.CampaignUnit.run` path as every other
+  executor (via :func:`~repro.fabric.units.run_envelope`), so unit
   results are bit-identical regardless of which worker ran them.
 * Commits are idempotent (first-writer-wins in the queue); a worker
   whose lease was reaped mid-execution still commits — if a retry beat
@@ -42,7 +42,7 @@ from repro.fabric.chaos import (
     ChaosMonkey,
 )
 from repro.fabric.queue import WorkQueue
-from repro.fabric.units import EnvelopeRunner
+from repro.fabric.units import run_envelope
 from repro.obs import runtime as _obs
 from repro.obs.fleet import write_worker_snapshot
 
@@ -112,7 +112,6 @@ def worker_main(
         monkey = ChaosMonkey(ChaosPlan.load(chaos_path), worker_id)
     else:
         monkey = ChaosMonkey.from_env(worker_id)
-    runner = EnvelopeRunner()
     # With a metrics spill directory in the environment (the service or
     # fabric supervisor exports XPLAIN_METRICS_DIR), this worker gets an
     # in-process registry and persists a cumulative snapshot of it after
@@ -169,7 +168,7 @@ def worker_main(
         if rule is not None and rule.stall_seconds > 0:
             time.sleep(rule.stall_seconds)
         try:
-            result = runner.run(claimed["payload"])
+            result = run_envelope(claimed["payload"])
         except Exception as exc:  # noqa: BLE001 - poison units must not kill us
             if heartbeat is not None:
                 heartbeat.stop()

@@ -7,9 +7,12 @@ through one :class:`OracleEngine` per problem (see
 
 * answers repeated points from a quantized-key :class:`~repro.oracle.
   cache.GapCache`;
-* forwards the remaining points to the problem's *native batched* oracle
-  (``AnalyzedProblem.evaluate_batch``, e.g. the TE LP-template oracle or
-  the vectorized binpack first-fit) when one exists;
+* forwards the remaining points, as one batch, to the problem's *native
+  batched* oracle (``AnalyzedProblem.evaluate_batch``, e.g. the TE
+  LP-template oracle or the vectorized binpack first-fit) when one
+  exists, resetting its warm-start state first
+  (:func:`repro.parallel.work.evaluate_unit`), so a batch's answers never
+  depend on the batches before it;
 * otherwise falls back to a scalar loop over ``AnalyzedProblem.evaluate``,
   so third-party problems keep working unchanged;
 * keeps :class:`~repro.oracle.stats.OracleStats` counters, merging in the
@@ -28,6 +31,7 @@ from repro.obs import runtime as _obs
 from repro.obs.tracing import span as _span
 from repro.oracle.cache import DEFAULT_RESOLUTION, GapCache
 from repro.oracle.stats import OracleStats
+from repro.parallel import work as _work
 
 #: distinguishes "spill not passed" from an explicit ``spill=None`` detach
 _UNSET = object()
@@ -55,9 +59,6 @@ class OracleEngine:
         else:
             self.cache = cache
         self.stats = OracleStats()
-        #: sharded-dispatch backend (None = direct single-batch dispatch)
-        self._executor = None
-        self._unit_points = 64
 
     # ------------------------------------------------------------------
     def evaluate(self, x: np.ndarray) -> GapSample:
@@ -152,68 +153,17 @@ class OracleEngine:
         self.cache.enforce_limit()
 
     # ------------------------------------------------------------------
-    def use_executor(self, executor, unit_points: int | None = None) -> None:
-        """Route uncached evaluations through a work-unit executor.
-
-        With an executor installed, every miss batch is decomposed by
-        :func:`repro.parallel.shard.plan_units` into placement-free
-        :class:`~repro.parallel.work.EvalUnit`\\ s — the decomposition
-        depends only on the batch size, never on the worker count, which
-        is what makes ``workers=1`` and ``workers=N`` bit-identical.
-        Pass ``None`` to restore direct single-batch dispatch.
-        """
-        self._executor = executor
-        if unit_points is not None:
-            if unit_points < 1:
-                raise RuntimeError(
-                    f"unit_points must be >= 1, got {unit_points}"
-                )
-            self._unit_points = unit_points
-
-    def _dispatch_sharded(self, xs: np.ndarray) -> GapSamples:
-        """Evaluate a miss batch as work units on the installed executor."""
-        from repro.parallel.shard import plan_units
-        from repro.parallel.work import EvalUnit
-
-        units = [
-            EvalUnit(xs[start:stop])
-            for start, stop in plan_units(len(xs), self._unit_points)
-        ]
-        results = self._executor.map_units(units)
-        for unit, result in zip(units, results):
-            if result["path"] == "native":
-                self.stats.native_batched += len(unit.points)
-            else:
-                self.stats.scalar_fallback += len(unit.points)
-            if not self._executor.in_process:
-                # Out-of-process work never touches the driver's native
-                # oracle, so its solver counters arrive with the result.
-                self.stats.merge_counters(result["counters"])
-        return GapSamples(
-            xs,
-            np.concatenate([r["benchmark"] for r in results]),
-            np.concatenate([r["heuristic"] for r in results]),
-            np.concatenate([r["feasible"] for r in results]),
-        )
-
     def _dispatch(self, xs: np.ndarray) -> GapSamples:
-        """Route uncached points to the native batch oracle or scalar loop."""
-        if self._executor is not None:
-            return self._dispatch_sharded(xs)
-        native = self.problem.evaluate_batch
-        if native is not None:
+        """Evaluate one miss batch as a single stateless unit.
+
+        ``evaluate_unit`` is looked up on its module at call time, so a
+        wrapper installed there (a profiler) sees every batch.
+        """
+        if self.problem.evaluate_batch is not None:
             self.stats.native_batched += len(xs)
-            result = native(xs)
-            if len(result) != len(xs):
-                raise RuntimeError(
-                    f"native batched oracle of {self.problem.name!r} "
-                    f"returned {len(result)} samples for {len(xs)} points"
-                )
-            return result
-        self.stats.scalar_fallback += len(xs)
-        return GapSamples.from_samples(
-            [self.problem.evaluate(x) for x in xs], dim=self.problem.dim
-        )
+        else:
+            self.stats.scalar_fallback += len(xs)
+        return _work.evaluate_unit(self.problem, xs)
 
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> OracleStats:

@@ -91,13 +91,6 @@ class OracleStats:
             }
         )
 
-    def merge_counters(self, counters: dict) -> None:
-        """Fold a worker-reported counter delta into this block in place."""
-        for name, value in counters.items():
-            if hasattr(self, name):
-                current = getattr(self, name)
-                setattr(self, name, current + type(current)(value))
-
     def describe(self) -> str:
         lines = [
             f"oracle: {self.points} points "

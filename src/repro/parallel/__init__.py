@@ -1,20 +1,18 @@
 """Parallel execution for the XPlain pipeline.
 
-The subsystem converts the single-threaded orchestration layer into an
-executor-agnostic architecture:
+The unit of parallel work is a whole campaign job: one problem, one
+config, one derived seed, one full pipeline run.
 
 * :mod:`repro.parallel.spec` — :class:`ProblemSpec`, a picklable recipe
   for rebuilding an :class:`~repro.analyzer.interface.AnalyzedProblem`
   inside a worker process (closures do not pickle; factories do);
-* :mod:`repro.parallel.work` — the picklable work-unit protocol
-  (:class:`EvalUnit` for sharded gap-oracle batches,
-  :class:`CampaignUnit` for whole pipeline runs);
-* :mod:`repro.parallel.shard` — deterministic batch→unit planning and
-  shard→seed derivation, the two pieces that make parallel output
-  bit-identical to serial for a fixed seed;
+* :mod:`repro.parallel.work` — :class:`CampaignUnit`, the picklable
+  campaign work unit, and :func:`evaluate_unit`, the oracle engine's
+  stateless evaluation of one miss batch;
+* :mod:`repro.parallel.shard` — shard→seed derivation, which gives every
+  job, explanation and search cell its own random stream;
 * :mod:`repro.parallel.executor` — :class:`SerialExecutor` (in-process)
-  and :class:`ProcessExecutor` (process pool, one
-  :class:`~repro.oracle.engine.OracleEngine` per worker);
+  and :class:`ProcessExecutor` (process pool);
 * :mod:`repro.parallel.campaign` — fan a list of problems/configs out
   across the pool and aggregate the reports with merged
   :class:`~repro.oracle.stats.OracleStats`.
@@ -29,21 +27,15 @@ from repro.parallel.campaign import (
     load_campaign_spec,
     run_campaign,
 )
-from repro.parallel.executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-)
-from repro.parallel.shard import derive_seed, plan_units
+from repro.parallel.executor import Executor, ProcessExecutor, SerialExecutor
+from repro.parallel.shard import derive_seed
 from repro.parallel.spec import ProblemSpec
-from repro.parallel.work import CampaignUnit, EvalUnit, evaluate_unit
+from repro.parallel.work import CampaignUnit, evaluate_unit
 
 __all__ = [
     "CampaignJob",
     "CampaignSpec",
     "CampaignUnit",
-    "EvalUnit",
     "Executor",
     "ProblemSpec",
     "ProcessExecutor",
@@ -52,7 +44,5 @@ __all__ = [
     "deterministic_view",
     "evaluate_unit",
     "load_campaign_spec",
-    "make_executor",
-    "plan_units",
     "run_campaign",
 ]

@@ -255,9 +255,6 @@ def execute_job(job_payload: dict) -> dict:
     seed = int(job_payload["seed"])
     config.seed = seed
     config.generator.seed = seed
-    # Jobs parallelize across the pool, not within it: no nested pools.
-    config.executor = "serial"
-    config.workers = 1
     # Unit reports must be a pure function of the unit payload (that is
     # what content-addressed run IDs and bit-identical resume rest on),
     # but a spilled gap cache makes the report's hit/miss counters

@@ -1,67 +1,37 @@
-"""Serial and process-pool executors for work units.
+"""Serial and process-pool executors for campaign units.
 
-Both executors run the *same* units through the *same*
-:func:`repro.parallel.work.execute_unit` function; only placement
-differs, and unit evaluation is placement-free (DESIGN.md §9). That is
-the whole determinism argument: ``SerialExecutor`` and a
-``ProcessExecutor`` with any worker count return bit-identical results
-for the same unit list.
+Both executors run the *same* :class:`~repro.parallel.work.CampaignUnit`
+list; only placement differs, and a unit is placement-free — it builds a
+fresh problem from its spec and runs the whole pipeline on its own
+derived seed (DESIGN.md §9). That is the whole determinism argument:
+``SerialExecutor`` and a ``ProcessExecutor`` with any worker count
+return bit-identical reports for the same unit list.
 
-The process executor owns a ``concurrent.futures.ProcessPoolExecutor``
-whose workers each rebuild the problem from its
-:class:`~repro.parallel.spec.ProblemSpec` once (initializer) and keep it
-— including its own native batched oracle / LP templates — for the
-pool's lifetime. Worker crashes and exceptions surface as a clean
+The process executor owns a ``concurrent.futures.ProcessPoolExecutor``.
+Worker crashes and exceptions surface as a clean
 :class:`~repro.exceptions.AnalyzerError` instead of a hung pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Iterator, Protocol, Sequence
 
 from repro.exceptions import AnalyzerError
-from repro.parallel.spec import ProblemSpec
-from repro.parallel.work import execute_unit
-
-# ----------------------------------------------------------------------
-# Worker-process globals (set once per process by the pool initializer).
-_WORKER_PROBLEM = None
-
-
-def _init_worker(spec_payload: dict | None) -> None:
-    global _WORKER_PROBLEM
-    if spec_payload is None:
-        _WORKER_PROBLEM = None
-    else:
-        _WORKER_PROBLEM = ProblemSpec.from_dict(spec_payload).build()
-
-
-def _run_unit(unit) -> dict:
-    return execute_unit(unit, _WORKER_PROBLEM)
 
 
 # ----------------------------------------------------------------------
 class Executor(Protocol):
-    """What the oracle engine and campaign runner need from a backend."""
-
-    #: True when units execute against the driver's own objects (so the
-    #: driver's native-solver counters already reflect the work)
-    in_process: bool
-
-    def map_units(self, units: Sequence) -> list:
-        """Execute every unit, returning results in unit order."""
-        ...
+    """What the campaign runner needs from a backend."""
 
     def iter_units(self, units: Sequence) -> Iterator:
         """Yield unit results in unit order, as they complete.
 
-        The incremental face of :meth:`map_units`: a consumer can
-        persist each result before the next unit's outcome is known,
-        which is what makes campaign execution crash-safe — work done
-        before a failure has already been recorded.
+        A consumer can persist each result before the next unit's
+        outcome is known, which is what makes campaign execution
+        crash-safe — work done before a failure has already been
+        recorded.
         """
         ...
 
@@ -69,66 +39,32 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """Run units in-process, in order, against the driver's problem."""
-
-    in_process = True
-
-    def __init__(self, problem=None) -> None:
-        self.problem = problem
-
-    def map_units(self, units: Sequence) -> list:
-        return list(self.iter_units(units))
+    """Run units in-process, in order."""
 
     def iter_units(self, units: Sequence) -> Iterator:
         for unit in units:
-            yield execute_unit(unit, self.problem)
+            yield unit.run()
 
     def close(self) -> None:  # symmetry with ProcessExecutor
         pass
 
 
 class ProcessExecutor:
-    """Run units on a pool of worker processes, one engine per worker."""
+    """Run units on a pool of worker processes."""
 
-    in_process = False
-
-    def __init__(
-        self,
-        workers: int,
-        spec: ProblemSpec | None = None,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise AnalyzerError(f"process executor needs >= 1 worker, got {workers}")
         self.workers = workers
-        self.spec = spec
-        self._context = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else multiprocessing.get_context()
-        )
         self._pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            payload = self.spec.to_dict() if self.spec is not None else None
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self._context,
-                initializer=_init_worker,
-                initargs=(payload,),
-            )
-        return self._pool
-
-    def map_units(self, units: Sequence) -> list:
-        return list(self.iter_units(units))
-
     def iter_units(self, units: Sequence) -> Iterator:
         if not units:
             return
-        pool = self._ensure_pool()
-        futures = [pool.submit(_run_unit, unit) for unit in units]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        futures = [self._pool.submit(unit.run) for unit in units]
         error: Exception | None = None
         for future in futures:
             if error is not None:
@@ -158,44 +94,3 @@ class ProcessExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-
-
-# ----------------------------------------------------------------------
-def make_executor(
-    executor: str,
-    workers: int,
-    problem=None,
-    spec: ProblemSpec | None = None,
-) -> Executor:
-    """Build the executor a pipeline run asked for.
-
-    ``executor="serial"`` ignores ``workers`` (it must be 1, which
-    :class:`~repro.core.config.XPlainConfig` validates). ``"process"``
-    and ``"fabric"`` need a picklable :class:`ProblemSpec` — either
-    passed explicitly or attached to the problem by its domain
-    constructor. ``"fabric"`` spins up an ephemeral lease-queue fleet
-    (DESIGN.md §13): same placement-free units, plus worker heartbeats,
-    lease-expiry retry, and exactly-once commits.
-    """
-    if executor == "serial":
-        return SerialExecutor(problem)
-    if executor in ("process", "fabric"):
-        if spec is None:
-            spec = getattr(problem, "spec", None)
-        if spec is None:
-            name = getattr(problem, "name", "<unknown>")
-            raise AnalyzerError(
-                f"problem {name!r} has no ProblemSpec; the {executor} "
-                "executor rebuilds problems in worker processes from a "
-                "picklable factory. Construct the problem through a "
-                "spec-attaching domain constructor or set problem.spec."
-            )
-        if executor == "fabric":
-            from repro.fabric.executor import local_fabric
-
-            return local_fabric(workers, spec=spec)
-        return ProcessExecutor(workers, spec=spec)
-    raise AnalyzerError(
-        f"unknown executor {executor!r}; expected 'serial', 'process', "
-        "or 'fabric'"
-    )

@@ -1,20 +1,12 @@
-"""Deterministic sharding and seed derivation.
+"""Seed derivation: one independent random stream per unit of work.
 
-Two invariants make parallel runs bit-identical to serial ones:
-
-1. **Placement-free unit planning.** :func:`plan_units` decomposes a batch
-   of ``n`` points into contiguous units as a pure function of ``n`` and
-   the configured unit size — never of the worker count. ``workers=1``
-   and ``workers=4`` therefore evaluate the *same* units; only where each
-   unit runs differs, and unit evaluation is itself placement-free (see
-   :func:`repro.parallel.work.evaluate_unit`).
-
-2. **Derived seeds.** Any work that owns a random stream — one campaign
-   job, one subspace explanation — gets a seed derived from the base seed
-   and its shard coordinates via :func:`derive_seed`, built on
-   :class:`numpy.random.SeedSequence` (stable across platforms and numpy
-   versions by design). Serial and parallel code paths derive the same
-   seeds, so the streams match regardless of scheduling.
+Any work that owns a random stream — one campaign job, one subspace
+explanation, one search cell — gets a seed derived from the base seed
+and its shard coordinates via :func:`derive_seed`, built on
+:class:`numpy.random.SeedSequence` (stable across platforms and numpy
+versions by design). Every code path derives the same seeds, so the
+streams match regardless of which process runs the work or in which
+order.
 """
 
 from __future__ import annotations
@@ -27,22 +19,6 @@ STAGE_EXPLAIN = 1
 STAGE_GENERALIZE = 2
 STAGE_CAMPAIGN = 3
 STAGE_SEARCH = 4
-
-#: default number of points per evaluation work unit
-DEFAULT_UNIT_POINTS = 64
-
-
-def plan_units(n: int, unit_points: int = DEFAULT_UNIT_POINTS) -> list[tuple[int, int]]:
-    """Split ``n`` points into contiguous ``[start, stop)`` units.
-
-    Pure in ``(n, unit_points)``: the plan never depends on how many
-    workers will execute it.
-    """
-    if n < 0:
-        raise ValueError(f"cannot plan units for {n} points")
-    if unit_points < 1:
-        raise ValueError(f"unit_points must be >= 1, got {unit_points}")
-    return [(start, min(start + unit_points, n)) for start in range(0, n, unit_points)]
 
 
 def derive_seed(base_seed: int, stage: int, shard: int) -> int:

@@ -2,13 +2,13 @@
 
 An :class:`~repro.analyzer.interface.AnalyzedProblem` is a bundle of
 closures (gap oracle, flow extractors, canonicalizer) and therefore does
-not pickle. Worker processes instead receive a :class:`ProblemSpec` — the
+not pickle. Campaign units instead carry a :class:`ProblemSpec` — the
 dotted path of a factory callable plus JSON-safe keyword arguments — and
-rebuild the problem once per process. Domain constructors with picklable
-arguments attach a spec automatically (see
+rebuild the problem in whichever process runs the unit. Domain
+constructors with picklable arguments attach a spec automatically (see
 :func:`repro.domains.binpack.first_fit_problem`,
 :func:`repro.domains.te.fig1a_demand_pinning_problem`), so their problems
-work under the process executor out of the box.
+work in campaign specs out of the box.
 """
 
 from __future__ import annotations

@@ -1,18 +1,14 @@
-"""The picklable work-unit protocol.
+"""The campaign work unit and the per-batch oracle evaluation.
 
-A work unit is a self-contained, order-free piece of pipeline work:
-
-* :class:`EvalUnit` — one shard of a gap-oracle batch. Evaluation resets
-  any native-oracle warm-start state first (``reset_state()``), so the
-  unit's results are a pure function of its own points: the same unit
-  produces bit-identical arrays no matter which worker runs it, after
-  which units, or in which process.
 * :class:`CampaignUnit` — one whole pipeline run of a campaign job,
   rebuilt from its :class:`~repro.parallel.spec.ProblemSpec` inside the
-  worker and reduced to a JSON-safe report dict.
+  worker and reduced to a JSON-safe report dict. It is the only unit of
+  parallel work: executors place whole units, never parts of one run.
+* :func:`evaluate_unit` — how the oracle engine evaluates one miss
+  batch, statelessly.
 
-Units carry only picklable payloads (arrays, plain dicts); results are
-plain dicts of arrays/scalars so they cross process boundaries cheaply.
+Units carry only picklable payloads (plain dicts); results are plain
+dicts so they cross process boundaries cheaply.
 """
 
 from __future__ import annotations
@@ -21,22 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: keys of the native-oracle counters an eval unit reports back
-COUNTER_KEYS = ("warm_solves", "cold_solves", "lp_iterations", "lp_seconds")
-
-
-@dataclass
-class EvalUnit:
-    """One shard of points for the gap oracle."""
-
-    points: np.ndarray
-
-    def run(self, problem) -> dict:
-        if problem is None:
-            raise RuntimeError(
-                "EvalUnit executed in a worker without a resident problem"
-            )
-        return evaluate_unit(problem, self.points)
+from repro.analyzer.interface import GapSamples
 
 
 @dataclass
@@ -45,60 +26,33 @@ class CampaignUnit:
 
     job: dict
 
-    def run(self, problem=None) -> dict:
+    def run(self) -> dict:
         from repro.parallel.campaign import execute_job
 
         return execute_job(self.job)
 
 
-def execute_unit(unit, problem=None) -> dict:
-    """Run any work unit (the single entry point workers dispatch on)."""
-    return unit.run(problem)
-
-
-# ----------------------------------------------------------------------
-def _native_counters(native) -> dict[str, float]:
-    counters = getattr(native, "solver_counters", None)
-    if not callable(counters):
-        return {}
-    totals = counters()
-    return {k: float(totals.get(k, 0)) for k in COUNTER_KEYS}
-
-
-def evaluate_unit(problem, points: np.ndarray) -> dict:
-    """Evaluate one shard against ``problem``'s gap oracle, statelessly.
+def evaluate_unit(problem, points: np.ndarray) -> GapSamples:
+    """Evaluate one batch against ``problem``'s gap oracle, statelessly.
 
     Routes through the native batched oracle when the problem has one
-    (resetting its warm-start state first so results do not depend on
-    what the oracle solved before), otherwise through the scalar
-    reference oracle. Returns arrays plus the native-solver counter
-    delta this unit cost, so the driver's
-    :class:`~repro.oracle.stats.OracleStats` stay meaningful even when
-    the work ran in another process.
+    (resetting its warm-start state first, so results depend only on
+    this batch and not on what the oracle solved before), otherwise
+    through the scalar reference oracle.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     native = problem.evaluate_batch
-    if native is not None:
-        reset = getattr(native, "reset_state", None)
-        if callable(reset):
-            reset()
-        before = _native_counters(native)
-        samples = native(points)
-        after = _native_counters(native)
-        return {
-            "benchmark": np.asarray(samples.benchmark_values, dtype=float),
-            "heuristic": np.asarray(samples.heuristic_values, dtype=float),
-            "feasible": np.asarray(samples.heuristic_feasible, dtype=bool),
-            "counters": {k: after[k] - before[k] for k in after},
-            "path": "native",
-        }
-    scalars = [problem.evaluate(x) for x in points]
-    return {
-        "benchmark": np.array([s.benchmark_value for s in scalars]),
-        "heuristic": np.array([s.heuristic_value for s in scalars]),
-        "feasible": np.array(
-            [s.heuristic_feasible for s in scalars], dtype=bool
-        ),
-        "counters": {},
-        "path": "scalar",
-    }
+    if native is None:
+        return GapSamples.from_samples(
+            [problem.evaluate(x) for x in points], dim=problem.dim
+        )
+    reset = getattr(native, "reset_state", None)
+    if callable(reset):
+        reset()
+    samples = native(points)
+    if len(samples) != len(points):
+        raise RuntimeError(
+            f"native batched oracle of {problem.name!r} "
+            f"returned {len(samples)} samples for {len(points)} points"
+        )
+    return samples

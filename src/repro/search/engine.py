@@ -11,9 +11,8 @@ a multi-armed bandit over the frontier:
 * the round's oracle batch (taken from the shared
   :class:`~repro.search.budget.BudgetLedger`) is allocated across the
   top-scoring cells and evaluated as ONE ``evaluate_many`` batch, which
-  the oracle engine cuts into placement-free work units and shards
-  across executor workers — the same machinery (and therefore the same
-  workers=1 vs workers=N bit-identity) every other pipeline stage uses;
+  the oracle engine answers as one stateless unit (one slab of LP
+  solves on TE) — the same path every other pipeline stage uses;
 * promising cells are *refined* (split at the best CART cut of their own
   samples), hopeless cells are *pruned* (their volume is retired from
   the search, the "eliminating the impossible" move), and the loop ends

@@ -292,10 +292,10 @@ class LpTemplate:
     def reset_state(self) -> None:
         """Forget the warm-start basis (counters are kept).
 
-        Sharded parallel execution calls this at every work-unit boundary
-        so a unit's solves depend only on the unit's own points — the
-        next solve goes through the cold two-phase simplex, after which
-        warm chaining resumes within the unit.
+        The oracle engine calls this (through the batch oracle) before
+        every miss batch so a batch's solves depend only on the batch's
+        own points — the next solve goes through the cold two-phase
+        simplex, after which warm chaining resumes within the batch.
         """
         self._basis = None
 

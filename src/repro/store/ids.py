@@ -24,11 +24,10 @@ import json
 REPORT_SCHEMA_VERSION = 2
 
 #: config keys that cannot affect a unit's deterministic output:
-#: store_path is forced to None and executor/workers to serial/1 inside
-#: campaign units (execute_job: jobs parallelize across the pool, not
-#: within it), and store_retention only drives gc. cache_max_entries
-#: stays semantic — LRU eviction changes the report's hit/miss counters.
-_NON_SEMANTIC_CONFIG = ("store_path", "store_retention", "executor", "workers")
+#: store_path is forced to None inside campaign units (execute_job), and
+#: store_retention only drives gc. cache_max_entries stays semantic —
+#: LRU eviction changes the report's hit/miss counters.
+_NON_SEMANTIC_CONFIG = ("store_path", "store_retention")
 
 
 def canonical_json(data) -> str:

@@ -385,8 +385,8 @@ class AdversarialSubspaceGenerator:
         """Wilcoxon inside-vs-just-outside check, as one oracle batch.
 
         Both pools are *collected* first and evaluated together, so the
-        engine sees a single ``2 * pairs`` batch it can shard across
-        workers instead of two half-size ones (work-unit extraction).
+        engine sees a single ``2 * pairs`` batch instead of two
+        half-size ones.
         """
         config = self.config
         problem = self.problem

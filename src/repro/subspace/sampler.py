@@ -102,11 +102,10 @@ def sample_in_boxes(
 ) -> list[SampleSet]:
     """Sample ``count`` points per box, evaluated as ONE oracle batch.
 
-    The work-unit extraction behind the slice expander: points are drawn
-    box by box (so the random stream matches a per-box loop) but the gap
-    oracle sees a single ``len(boxes) * count`` batch, which the engine
-    can cut into full-size work units and shard across workers instead
-    of dribbling one small slab at a time.
+    The batching behind the slice expander: points are drawn box by box
+    (so the random stream matches a per-box loop) but the gap oracle
+    sees a single ``len(boxes) * count`` batch — one slab of LP solves
+    on TE instead of one small slab per box.
     """
     if count <= 0 or not boxes:
         return [
@@ -135,7 +134,7 @@ def collect_outside(
     """Draw ``count`` points in ``outer`` but *outside* ``inner``.
 
     Pure point collection — no oracle evaluation — so callers can fold
-    the result into a larger evaluation batch (work-unit extraction).
+    the result into a larger evaluation batch.
     """
     collected: list[np.ndarray] = []
     for _ in range(max_tries):

@@ -11,8 +11,7 @@ input-domain boundary).
 
 Slabs are proposed per sweep (one per still-active direction, all against
 the sweep-start box) and their samples are evaluated as one oracle batch,
-so the engine can cut the sweep into full-size work units and shard them
-across workers (see :mod:`repro.parallel`).
+so the engine answers a whole sweep in one call.
 """
 
 from __future__ import annotations
@@ -93,9 +92,8 @@ def expand_around(
 
     # Directions: (dim, -1) grows the lower face, (dim, +1) the upper face.
     # Each sweep proposes one slab per still-active direction against the
-    # sweep-start box, evaluates ALL slabs as one oracle batch (a full
-    # work unit the engine can shard across workers), then applies the
-    # accept/stall decisions in direction order.
+    # sweep-start box, evaluates ALL slabs as one oracle batch, then
+    # applies the accept/stall decisions in direction order.
     active = [(d, s) for d in range(bounds.dim) for s in (-1, +1)]
     accepted_total = 0
     while active and accepted_total < config.max_expansions:

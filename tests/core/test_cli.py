@@ -89,14 +89,23 @@ class TestParser:
         config = _pipeline_config(args, {"search": "bandit"})
         assert config.search == "bandit"  # plugin override survives
 
-    def test_every_subcommand_accepts_workers(self):
+    def test_only_campaign_commands_accept_workers(self):
+        # A whole campaign job is the unit of parallel work: commands
+        # that run campaigns take --workers, single runs reject it.
         for argv in (
-            ["dp"], ["vbp"], ["sched"], ["fig1a"], ["encode"],
-            ["type3"], ["campaign", "spec.json"],
-            ["analyze", "caching"], ["analyze", "te"],
+            ["campaign", "spec.json"],
+            ["serve", "--store", "s"],
+            ["fabric", "serve", "--store", "s"],
+            ["fabric", "chaos-smoke", "--out", "o"],
         ):
             args = build_parser().parse_args(argv + ["--workers", "3"])
             assert args.workers == 3
+        for argv in (
+            ["dp"], ["vbp"], ["sched"], ["fig1a"], ["encode"],
+            ["type3"], ["analyze", "caching"], ["analyze", "te"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--workers", "3"])
 
     def test_analyze_requires_a_domain(self):
         with pytest.raises(SystemExit):
@@ -187,23 +196,34 @@ class TestCommands:
         assert "worst-case gap found: 100" in out
         assert "Wilcoxon" in out
 
-    def test_dp_with_workers_matches_serial(self, capsys):
-        argv = ["dp", "--samples", "30", "--subspaces", "1", "--seed", "2"]
-        assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        assert main(argv + ["--workers", "2"]) == 0
-        parallel_out = capsys.readouterr().out
-        # Identical report text except wall-clock lines (runtime, oracle
-        # eval seconds, LP solve seconds).
-        def strip(text):
-            return [
-                line for line in text.splitlines()
-                if "runtime" not in line
-                and " in " not in line
-                and "lp templates" not in line
-            ]
+    def test_campaign_with_workers_matches_serial(self, capsys, tmp_path):
+        import json
 
-        assert strip(parallel_out) == strip(serial_out)
+        from repro.parallel.campaign import deterministic_view
+
+        spec = {
+            "seed": 3,
+            "defaults": {"explainer_samples": 15, "generalizer_samples": 0},
+            "jobs": [
+                {
+                    "name": name,
+                    "problem": {"factory": "repro.parallel._testing:band_problem"},
+                }
+                for name in ("a", "b")
+            ],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        views = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            argv = ["campaign", str(spec_path), "--workers", workers]
+            assert main(argv + ["--out-dir", str(out)]) == 0
+            report = json.loads((out / "campaign.json").read_text())
+            assert report["timing"]["workers"] == int(workers)
+            views.append(deterministic_view(report))
+        capsys.readouterr()
+        assert views[0] == views[1]
 
     def test_campaign_runs_spec(self, capsys, tmp_path):
         code = main(

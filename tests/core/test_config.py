@@ -10,8 +10,6 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         config = XPlainConfig()
         assert config.analyzer == "auto"
-        assert config.executor == "serial"
-        assert config.workers == 1
 
     def test_unknown_analyzer(self):
         with pytest.raises(AnalyzerError, match="unknown analyzer 'metopt'"):
@@ -26,28 +24,16 @@ class TestConfigValidation:
             XPlainConfig(blackbox_strategy="genetic")
 
     def test_unknown_executor(self):
-        with pytest.raises(AnalyzerError, match="unknown executor"):
+        # A run is single-process: executor, workers and unit_points are
+        # gone from the config (campaigns parallelize whole jobs).
+        with pytest.raises(TypeError, match="executor"):
             XPlainConfig(executor="threads")
 
-    def test_workers_must_be_positive(self):
-        with pytest.raises(AnalyzerError, match="workers"):
-            XPlainConfig(executor="process", workers=0)
-
-    def test_workers_must_be_int(self):
-        with pytest.raises(AnalyzerError, match="workers"):
-            XPlainConfig(executor="process", workers=2.5)
-
-    def test_serial_executor_is_single_worker(self):
-        with pytest.raises(AnalyzerError, match="single-worker"):
-            XPlainConfig(executor="serial", workers=4)
-
-    def test_process_executor_accepts_workers(self):
-        config = XPlainConfig(executor="process", workers=4)
-        assert config.workers == 4
-
-    def test_unit_points_validated(self):
-        with pytest.raises(AnalyzerError, match="unit_points"):
-            XPlainConfig(unit_points=0)
+    @pytest.mark.parametrize("knob", ["workers", "unit_points"])
+    def test_removed_parallel_knobs_fail_loudly(self, knob):
+        # Even a value the old fields accepted is refused.
+        with pytest.raises(TypeError, match=knob):
+            XPlainConfig(**{knob: 1})
 
     def test_error_message_lists_choices(self):
         with pytest.raises(AnalyzerError, match="metaopt"):

@@ -203,7 +203,7 @@ class TestCli:
         for plugin in registry():
             args = parser.parse_args(["analyze", plugin.name])
             assert args.domain == plugin.name
-            assert args.workers == 1
+            assert not hasattr(args, "workers")  # campaigns parallelize
 
     def test_analyze_accepts_aliases(self):
         args = build_parser().parse_args(["analyze", "dp", "--fig4a"])

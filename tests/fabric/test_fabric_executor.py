@@ -1,98 +1,81 @@
 """FabricExecutor + supervisor: determinism, degradation, restarts."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import FabricError
-from repro.fabric import (
-    FabricExecutor,
-    FabricSupervisor,
-    WorkQueue,
-    local_fabric,
-)
-from repro.parallel._testing import band_problem
-from repro.parallel.executor import make_executor
-from repro.parallel.work import EvalUnit, execute_unit
+from repro.fabric import FabricExecutor, FabricSupervisor, WorkQueue
+from repro.parallel import CampaignUnit, SerialExecutor, deterministic_view
+from repro.parallel.campaign import CampaignSpec, plan_campaign
 
 
-@pytest.fixture(scope="module")
-def problem():
-    return band_problem()
+def _units(count=3):
+    """``count`` small band-problem campaign units on derived seeds."""
+    spec = CampaignSpec.from_dict(
+        {
+            "seed": 0,
+            "defaults": {"explainer_samples": 10, "generalizer_samples": 0},
+            "jobs": [
+                {
+                    "name": f"band-{i}",
+                    "problem": {"factory": "repro.parallel._testing:band_problem"},
+                }
+                for i in range(count)
+            ],
+        }
+    )
+    return [CampaignUnit(payload) for payload in plan_campaign(spec)]
 
 
-def _units(problem, count=5, points=16, seed=0):
-    rng = np.random.default_rng(seed)
-    dim = len(problem.input_names)
-    return [EvalUnit(points=rng.random((points, dim))) for _ in range(count)]
-
-
-def _assert_same_results(serial, fabric):
-    assert len(serial) == len(fabric)
-    for expected, got in zip(serial, fabric):
-        assert np.array_equal(expected["benchmark"], got["benchmark"])
-        assert np.array_equal(expected["heuristic"], got["heuristic"])
-        assert np.array_equal(expected["feasible"], got["feasible"])
+def _serial(units):
+    return list(SerialExecutor().iter_units(units))
 
 
 class TestLocalFabric:
-    def test_results_bit_identical_to_serial(self, problem):
-        units = _units(problem)
-        serial = [execute_unit(unit, problem) for unit in units]
-        executor = local_fabric(2, spec=problem.spec, lease_seconds=5.0)
+    def test_results_bit_identical_to_serial(self, tmp_path):
+        units = _units()
+        supervisor = FabricSupervisor(tmp_path, workers=2, lease_seconds=5.0).start()
         try:
-            fabric = executor.map_units(units)
+            executor = FabricExecutor(
+                WorkQueue(tmp_path),
+                supervisor=supervisor,
+                max_attempts=3,
+                lease_seconds=5.0,
+            )
+            fabric = list(executor.iter_units(units))
             status = executor.queue.status()
         finally:
-            executor.close()
-        _assert_same_results(serial, fabric)
+            supervisor.stop()
+        assert deterministic_view(fabric) == deterministic_view(_serial(units))
         assert status["counters"]["commits"] == len(units)
         assert status["units"]["done"] == len(units)
 
-    def test_make_executor_fabric_branch(self, problem):
-        executor = make_executor("fabric", 1, problem)
+    def test_close_leaves_the_callers_fleet_running(self, tmp_path):
+        supervisor = FabricSupervisor(tmp_path, workers=1).start()
         try:
-            assert isinstance(executor, FabricExecutor)
-            assert executor.in_process is False
-            (result,) = executor.map_units(_units(problem, count=1))
+            FabricExecutor(WorkQueue(tmp_path), supervisor=supervisor).close()
+            assert supervisor.alive_workers() == 1
         finally:
-            executor.close()
-        (expected,) = [
-            execute_unit(unit, problem)
-            for unit in _units(problem, count=1)
-        ]
-        assert np.array_equal(expected["benchmark"], result["benchmark"])
-
-    def test_close_tears_down_the_fleet(self, problem):
-        executor = local_fabric(1, spec=problem.spec)
-        supervisor = executor.supervisor
-        assert supervisor.alive_workers() == 1
-        executor.close()
+            supervisor.stop()
         assert supervisor.alive_workers() == 0
 
 
 class TestGracefulDegradation:
-    def test_inline_fallback_without_any_fleet(self, tmp_path, problem):
+    def test_inline_fallback_without_any_fleet(self, tmp_path):
         """A dead (here: never-started) fleet still converges inline."""
         queue = WorkQueue(tmp_path)
-        executor = FabricExecutor(queue, problem_spec=problem.spec)
-        units = _units(problem, count=3)
-        fabric = executor.map_units(units)
-        serial = [execute_unit(unit, problem) for unit in units]
-        _assert_same_results(serial, fabric)
+        executor = FabricExecutor(queue)
+        units = _units(count=2)
+        fabric = list(executor.iter_units(units))
+        assert deterministic_view(fabric) == deterministic_view(_serial(units))
         status = queue.status()
         assert status["units"]["done"] == len(units)
         assert status["counters"]["commits"] == len(units)
 
-    def test_no_fallback_raises_instead_of_hanging(self, tmp_path, problem):
+    def test_no_fallback_raises_instead_of_hanging(self, tmp_path):
         queue = WorkQueue(tmp_path)
-        executor = FabricExecutor(
-            queue,
-            problem_spec=problem.spec,
-            inline_fallback=False,
-            unit_timeout=0.2,
-        )
+        executor = FabricExecutor(queue, inline_fallback=False, unit_timeout=0.2)
         with pytest.raises(FabricError):
-            executor.map_units(_units(problem, count=1))
+            list(executor.iter_units(_units(count=1)))
 
 
 class TestQuarantinePropagation:
@@ -115,7 +98,7 @@ class TestQuarantinePropagation:
             }
         )
         with pytest.raises(FabricError, match="quarantined after 2 attempts"):
-            executor.map_units([poison])
+            list(executor.iter_units([poison]))
         status = queue.status()
         assert status["units"]["quarantined"] == 1
         assert status["counters"]["quarantines"] == 1

@@ -19,7 +19,7 @@ def queue(tmp_path):
 
 
 def _enqueue(queue, unit_id="u1", now=0.0, **kwargs):
-    return queue.enqueue(unit_id, "eval", {"points": [1.0]}, now=now, **kwargs)
+    return queue.enqueue(unit_id, "campaign", {"job": {"seed": 1}}, now=now, **kwargs)
 
 
 class TestEnqueue:
@@ -49,7 +49,7 @@ class TestClaim:
         _enqueue(queue)
         claimed = queue.claim("w", 10.0, now=0.0)
         assert claimed["unit_id"] == "u1"
-        assert claimed["payload"] == {"points": [1.0]}
+        assert claimed["payload"] == {"job": {"seed": 1}}
         assert claimed["attempts"] == 1
         assert queue.unit("u1")["status"] == "leased"
         assert queue.unit("u1")["lease_owner"] == "w"

@@ -87,6 +87,28 @@ class TestBatchedScalarEquivalence:
             )
 
 
+class TestPerBatchReset:
+    def test_te_batch_repeats_bitwise_at_equal_solver_cost(self):
+        """Every miss batch starts from reset LP templates, so a batch's
+        answers and its warm/cold cost depend on the batch alone."""
+        demand_set = build_demand_set(
+            fig1a_topology(), fig1a_demand_pairs(), num_paths=2
+        )
+        problem = demand_pinning_problem(demand_set, threshold=50.0, d_max=100.0)
+        engine = problem.configure_oracle(cache=False)
+        xs = np.random.default_rng(11).uniform(0.0, 100.0, size=(40, problem.dim))
+        runs = []
+        for _ in range(2):
+            before = engine.stats_snapshot()
+            gaps = problem.gaps(xs)
+            runs.append((gaps, engine.stats_snapshot() - before))
+        (first, first_cost), (again, again_cost) = runs
+        assert np.array_equal(first, again)  # bit for bit, no tolerance
+        assert first_cost.cold_solves >= 1
+        for counter in ("warm_solves", "cold_solves", "lp_iterations"):
+            assert getattr(first_cost, counter) == getattr(again_cost, counter)
+
+
 class TestGapSamples:
     def test_roundtrip(self):
         samples = [

@@ -148,7 +148,9 @@ class TestSpecParsing:
     @pytest.mark.parametrize(
         "config, match",
         [
-            ({"executor": "threads"}, "unknown executor"),
+            # executor/workers are not job config: jobs are the unit of
+            # parallel work, and the campaign sets how many run at once
+            ({"executor": "threads"}, "executor"),
             ({"workers": 0}, "workers"),
             ({"workers": "many"}, "workers"),
             ({"generator": {"max_subspace": 1}}, "max_subspace"),

@@ -1,42 +1,46 @@
-"""Tests for work units, sharding, seed derivation, and executors."""
+"""Tests for campaign units, seed derivation, and executors."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import AnalyzerError
 from repro.parallel import (
-    EvalUnit,
+    CampaignUnit,
     ProblemSpec,
     ProcessExecutor,
     SerialExecutor,
     derive_seed,
+    deterministic_view,
     evaluate_unit,
-    make_executor,
-    plan_units,
 )
-from repro.parallel._testing import band_problem, crashing_problem, dying_problem
+from repro.parallel._testing import band_problem
+from repro.parallel.campaign import CampaignSpec, plan_campaign
+
+BAND = "repro.parallel._testing:band_problem"
+TINY = {
+    "explainer_samples": 15,
+    "generalizer_samples": 0,
+    "generator": {
+        "max_subspaces": 1,
+        "tree_extra_samples": 40,
+        "significance_pairs": 12,
+    },
+}
 
 
-class TestPlanUnits:
-    def test_covers_every_point_in_order(self):
-        plan = plan_units(10, 3)
-        assert plan == [(0, 3), (3, 6), (6, 9), (9, 10)]
-
-    def test_small_batch_is_one_unit(self):
-        assert plan_units(5, 64) == [(0, 5)]
-
-    def test_empty_batch(self):
-        assert plan_units(0, 64) == []
-
-    def test_plan_depends_only_on_n_and_unit_size(self):
-        # The whole determinism argument: no worker count anywhere.
-        assert plan_units(100, 16) == plan_units(100, 16)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            plan_units(-1, 8)
-        with pytest.raises(ValueError):
-            plan_units(8, 0)
+def campaign_units(factories):
+    """One planned :class:`CampaignUnit` per ``(name, factory)`` pair."""
+    spec = CampaignSpec.from_dict(
+        {
+            "seed": 3,
+            "defaults": TINY,
+            "jobs": [
+                {"name": name, "problem": {"factory": factory}}
+                for name, factory in factories
+            ],
+        }
+    )
+    return [CampaignUnit(payload) for payload in plan_campaign(spec)]
 
 
 class TestDeriveSeed:
@@ -92,87 +96,65 @@ class TestEvaluateUnit:
         problem = band_problem()
         points = np.random.default_rng(0).uniform(size=(9, 2))
         result = evaluate_unit(problem, points)
-        assert result["path"] == "native"
         expected = [problem.evaluate(x).benchmark_value for x in points]
-        assert np.array_equal(result["benchmark"], np.array(expected))
+        assert np.array_equal(result.benchmark_values, np.array(expected))
+        assert np.array_equal(result.xs, points)
 
     def test_scalar_fallback_path(self):
         problem = band_problem()
+        native = problem.evaluate_batch
         problem.evaluate_batch = None
         points = np.random.default_rng(1).uniform(size=(4, 2))
         result = evaluate_unit(problem, points)
-        assert result["path"] == "scalar"
-        assert len(result["benchmark"]) == 4
+        assert len(result) == 4
+        assert np.array_equal(result.benchmark_values, native(points).benchmark_values)
+
+    def test_short_native_result_is_an_error(self):
+        problem = band_problem()
+        native = problem.evaluate_batch
+        problem.evaluate_batch = lambda xs: native(xs[:-1])
+        with pytest.raises(RuntimeError, match="returned 2 samples for 3"):
+            evaluate_unit(problem, np.zeros((3, 2)))
 
 
 class TestSerialExecutor:
     def test_maps_units_in_order(self):
-        problem = band_problem()
-        rng = np.random.default_rng(2)
-        points = rng.uniform(size=(20, 2))
-        units = [EvalUnit(points[a:b]) for a, b in plan_units(20, 6)]
-        results = SerialExecutor(problem).map_units(units)
-        merged = np.concatenate([r["benchmark"] for r in results])
-        assert np.array_equal(merged, evaluate_unit(problem, points)["benchmark"])
+        units = campaign_units([("a", BAND), ("b", BAND), ("c", BAND)])
+        results = list(SerialExecutor().iter_units(units))
+        assert [r["name"] for r in results] == ["a", "b", "c"]
+        assert [r["seed"] for r in results] == [u.job["seed"] for u in units]
 
 
 class TestProcessExecutor:
     def test_matches_serial_bit_for_bit(self):
-        problem = band_problem()
-        rng = np.random.default_rng(3)
-        points = rng.uniform(size=(30, 2))
-        units = [EvalUnit(points[a:b]) for a, b in plan_units(30, 8)]
-        serial = SerialExecutor(problem).map_units(units)
-        executor = ProcessExecutor(2, spec=problem.spec)
+        units = campaign_units([("a", BAND), ("b", BAND), ("c", BAND)])
+        serial = list(SerialExecutor().iter_units(units))
+        executor = ProcessExecutor(2)
         try:
-            parallel = executor.map_units(units)
+            parallel = list(executor.iter_units(units))
         finally:
             executor.close()
-        for s, p in zip(serial, parallel):
-            assert np.array_equal(s["benchmark"], p["benchmark"])
-            assert np.array_equal(s["heuristic"], p["heuristic"])
-            assert np.array_equal(s["feasible"], p["feasible"])
+        assert deterministic_view(parallel) == deterministic_view(serial)
 
     def test_worker_exception_raises_analyzer_error(self):
-        problem = crashing_problem()
-        executor = ProcessExecutor(2, spec=problem.spec)
-        units = [EvalUnit(np.zeros((2, 2))) for _ in range(3)]
+        units = campaign_units(
+            [("crash", "repro.parallel._testing:crashing_problem"), ("band", BAND)]
+        )
+        executor = ProcessExecutor(2)
         with pytest.raises(AnalyzerError, match="work unit failed"):
-            executor.map_units(units)
+            list(executor.iter_units(units))
 
     def test_worker_death_raises_analyzer_error(self):
-        problem = dying_problem()
-        executor = ProcessExecutor(2, spec=problem.spec)
-        units = [EvalUnit(np.zeros((1, 1)))]
-        with pytest.raises(AnalyzerError):
-            executor.map_units(units)
+        units = campaign_units([("dying", "repro.parallel._testing:dying_problem")])
+        executor = ProcessExecutor(2)
+        with pytest.raises(AnalyzerError, match="worker process died"):
+            list(executor.iter_units(units))
 
     def test_empty_unit_list(self):
         executor = ProcessExecutor(2)
-        assert executor.map_units([]) == []
+        assert list(executor.iter_units([])) == []
         executor.close()
 
     def test_invalid_worker_count(self):
         with pytest.raises(AnalyzerError):
             ProcessExecutor(0)
-
-
-class TestMakeExecutor:
-    def test_serial(self):
-        executor = make_executor("serial", 1, band_problem())
-        assert isinstance(executor, SerialExecutor)
-
-    def test_process_requires_spec(self):
-        problem = band_problem()
-        problem.spec = None
-        with pytest.raises(AnalyzerError, match="no ProblemSpec"):
-            make_executor("process", 2, problem)
-
-    def test_process_with_spec(self):
-        executor = make_executor("process", 2, band_problem())
-        assert isinstance(executor, ProcessExecutor)
-        executor.close()
-
-    def test_unknown_executor(self):
-        with pytest.raises(AnalyzerError, match="unknown executor"):
-            make_executor("threads", 2, band_problem())

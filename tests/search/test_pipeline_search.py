@@ -1,18 +1,17 @@
 """The search subsystem end to end: pipeline, campaigns, store, service.
 
-Covers the determinism contract (bandit workers=1 vs workers=4
-bit-identical for every registered domain), kill-and-resume with an
-adaptive policy, campaign search-block normalization and run-ID
+Covers the determinism contract (bandit campaigns bit-identical at
+workers=1 vs workers=4 for every registered domain), kill-and-resume
+with an adaptive policy, campaign search-block normalization and run-ID
 spelling-independence, and the report/store/service round trips.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import XPlain, XPlainConfig
-from repro.domains.registry import registry
+from repro.domains.registry import registry, smoke_campaign_spec
 from repro.exceptions import AnalyzerError
 from repro.parallel._testing import band_problem
 from repro.parallel.campaign import (
@@ -37,31 +36,6 @@ TINY = {
 }
 
 
-def assert_reports_identical(first, second):
-    """Every deterministic field of two XPlainReports matches exactly."""
-    ga, gb = first.generator_report, second.generator_report
-    assert ga.threshold == gb.threshold
-    assert ga.analyzer_calls == gb.analyzer_calls
-    assert len(ga.subspaces) == len(gb.subspaces)
-    assert len(ga.rejected) == len(gb.rejected)
-    for sa, sb in zip(ga.subspaces, gb.subspaces):
-        assert np.array_equal(sa.region.box.lo_array, sb.region.box.lo_array)
-        assert np.array_equal(sa.region.box.hi_array, sb.region.box.hi_array)
-        assert [(h.coeffs, h.rhs) for h in sa.region.halfspaces] == [
-            (h.coeffs, h.rhs) for h in sb.region.halfspaces
-        ]
-        assert sa.seed.validated_gap == sb.seed.validated_gap
-        assert sa.significance.p_value == sb.significance.p_value
-        assert np.array_equal(sa.samples.points, sb.samples.points)
-        assert np.array_equal(sa.samples.gaps, sb.samples.gaps)
-    assert first.worst_gap == second.worst_gap
-    for ea, eb in zip(first.explained, second.explained):
-        assert ea.heatmap.num_samples == eb.heatmap.num_samples
-        assert set(ea.heatmap.scores) == set(eb.heatmap.scores)
-        for key, score_a in ea.heatmap.scores.items():
-            assert score_a.mean_score == eb.heatmap.scores[key].mean_score
-
-
 def tiny_config(**overrides):
     defaults = dict(
         generator=GeneratorConfig(
@@ -73,7 +47,6 @@ def tiny_config(**overrides):
         explainer_samples=15,
         generalizer_samples=0,
         blackbox_budget=120,
-        unit_points=16,
         seed=7,
     )
     defaults.update(overrides)
@@ -113,22 +86,21 @@ class TestPipelineSearch:
 
 
 class TestSearchDeterminism:
-    """Bandit rounds shard like everything else: workers never matter."""
+    """Bandit campaigns, like all campaigns: workers never matter."""
 
     @pytest.mark.parametrize("domain", [p.name for p in registry()])
     def test_bandit_workers_1_vs_4_bit_identical(self, domain):
-        plugin = registry().get(domain)
-        overrides = dict(plugin.config_defaults)
-        overrides.update(search="bandit", search_budget=700, search_rounds=4)
-        serial = XPlain(plugin.smoke_spec().build(), tiny_config(**overrides)).run()
-        parallel = XPlain(
-            plugin.smoke_spec().build(),
-            tiny_config(executor="process", workers=4, **overrides),
-        ).run()
-        assert_reports_identical(serial, parallel)
-        ta = serial.generator_report.search_trace
-        tb = parallel.generator_report.search_trace
-        assert ta.to_dict() == tb.to_dict()
+        data = smoke_campaign_spec([domain])
+        (job,) = data["jobs"]
+        job["config"].update(search="bandit", search_budget=700, search_rounds=4)
+        data["jobs"].append(dict(job, name=f"{job['name']}-2"))
+        spec = CampaignSpec.from_dict(data)
+        serial = run_campaign(spec, workers=1)
+        parallel = run_campaign(spec, workers=4)
+        assert deterministic_view(parallel) == deterministic_view(serial)
+        for report in serial["problems"]:
+            assert report["search"]["policy"] == "bandit"
+            assert report["search"]["trace"]["rounds"]
 
     def test_same_seed_same_bandit_run(self):
         a = XPlain(band_problem(), tiny_config(search="bandit")).run()

@@ -49,8 +49,6 @@ class TestRunIds:
                 "explainer_samples": 15,
                 "store_path": "/somewhere/else",
                 "store_retention": 5,
-                "executor": "process",
-                "workers": 4,
             }
         )
         assert run_id_for(env) == base
