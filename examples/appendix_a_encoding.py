@@ -9,7 +9,7 @@ the original optimum.
 """
 
 from repro.compiler import encode_model
-from repro.dsl import NodeKind, query
+from repro.dsl import query
 from repro.solver import Model, quicksum
 
 

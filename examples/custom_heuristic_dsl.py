@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.analyzer import AnalyzedProblem, BlackBoxAnalyzer, GapSample
 from repro.compiler import solve_graph
-from repro.dsl import FlowGraphBuilder, NodeKind, query
+from repro.dsl import FlowGraphBuilder, query
 from repro.explain import build_heatmap, explain_heatmap
 from repro.subspace import Box
 

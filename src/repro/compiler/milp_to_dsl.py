@@ -38,7 +38,6 @@ from repro.dsl.nodes import NodeKind
 from repro.exceptions import CompilerError
 from repro.solver.expr import Variable
 from repro.solver.model import INF, Model
-from repro.solver.solution import Solution
 
 #: Upper bound used for the objective shift when a column has no finite
 #: upper bound but also a zero objective coefficient (it then never matters).

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.compiler import solve_graph
 from repro.domains.te.demands import DemandSet
-from repro.domains.te.pinning import pinned_demands
 from repro.dsl import FlowGraph, InputSpec, NodeKind
 from repro.exceptions import AnalyzerError
 

@@ -40,7 +40,6 @@ class FabricSupervisor:
         unit_ttl: float = 900.0,
         max_restarts_per_slot: int = 5,
         chaos_path: str | Path | None = None,
-        start_method: str | None = None,
     ) -> None:
         if workers < 1:
             raise FabricError(f"fabric needs >= 1 worker, got {workers}")
@@ -51,11 +50,6 @@ class FabricSupervisor:
         self.unit_ttl = unit_ttl
         self.max_restarts_per_slot = max_restarts_per_slot
         self.chaos_path = str(chaos_path) if chaos_path else None
-        self._context = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else multiprocessing.get_context()
-        )
         self.queue = WorkQueue(queue_path, unit_ttl=unit_ttl)
         #: slot -> (generation, Process); populated by start()
         self._slots: dict[int, tuple[int, object]] = {}
@@ -70,7 +64,7 @@ class FabricSupervisor:
         return f"w{slot}.g{generation}"
 
     def _spawn(self, slot: int, generation: int):
-        process = self._context.Process(
+        process = multiprocessing.Process(
             target=worker_main,
             kwargs={
                 "queue_path": self.queue_path,

@@ -26,7 +26,7 @@ from repro.generalize.grammar import (
     Clause,
     default_grammar,
 )
-from repro.generalize.instances import GeneratedInstance, InstanceGenerator
+from repro.generalize.instances import GeneratedInstance
 from repro.generalize.validate import benjamini_hochberg
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import GeneralizeError
+from repro.ranks import kendall_tau_b, mann_whitney_u
 
 ALPHA = 0.05
 
@@ -51,7 +51,7 @@ def monotone_test(
         raise GeneralizeError("need at least 8 observations")
     if np.ptp(feature_values) < 1e-12 or np.ptp(gaps) < 1e-12:
         return MonotoneEvidence(0.0, 1.0, direction, len(gaps))
-    tau, p_two_sided = stats.kendalltau(feature_values, gaps)
+    tau, p_two_sided = kendall_tau_b(feature_values, gaps)
     if np.isnan(tau):
         return MonotoneEvidence(0.0, 1.0, direction, len(gaps))
     # One-sided p: halve when the sign agrees, complement otherwise.
@@ -112,7 +112,7 @@ def threshold_test(
         if np.ptp(gaps) < 1e-12:
             continue
         try:
-            _, p = stats.mannwhitneyu(high, low, alternative="two-sided")
+            _, p = mann_whitney_u(high, low)
         except ValueError:
             continue
         evidence = ThresholdEvidence(

@@ -21,14 +21,13 @@ import numpy as np
 
 from repro.exceptions import ModelError
 from repro.solver.expr import (
-    EPS,
     Constraint,
     LinExpr,
     Relation,
     Variable,
     VarType,
 )
-from repro.solver.solution import Solution, SolveStats, SolveStatus
+from repro.solver.solution import Solution
 
 #: "auto" switches from the built-in simplex to SciPy above this many
 #: variables or constraints; the built-in solver is exact but dense.

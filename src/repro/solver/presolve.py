@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.exceptions import ModelError
 from repro.solver.expr import Constraint, LinExpr, Relation, Variable, VarType
 from repro.solver.model import INF, Model
 from repro.solver.solution import Solution, SolveStats, SolveStatus

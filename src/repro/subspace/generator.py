@@ -31,7 +31,7 @@ from repro.subspace.significance import (
     wilcoxon_signed_rank,
 )
 from repro.subspace.slices import ExpansionConfig, expand_around
-from repro.subspace.tree import RegressionTree, TreePredicate, path_to_halfspaces
+from repro.subspace.tree import RegressionTree, TreePredicate
 
 
 @dataclass

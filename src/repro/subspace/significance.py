@@ -6,19 +6,19 @@ compared to those immediately outside it. We only report those subspaces
 with a low p-value (less than 0.05) as adversarial. We use the Wilcoxon
 signed-rank test, which allows for dependent samples."
 
-Both SciPy's exact/approximate test and a from-scratch normal-approximation
-implementation are provided; tests cross-check the two.
+The test itself is :func:`repro.ranks.signed_rank_greater`: SciPy's
+branches, with the exact null counted in integers instead of enumerated
+sign flip by sign flip; the tests hold it against SciPy's ``wilcoxon``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import SubspaceError
+from repro.ranks import signed_rank_greater
 
 #: The paper's reporting cutoff.
 ALPHA = 0.05
@@ -52,7 +52,6 @@ def wilcoxon_signed_rank(
     inside: np.ndarray,
     outside: np.ndarray,
     alpha: float = ALPHA,
-    method: str = "scipy",
 ) -> SignificanceResult:
     """One-sided test that inside gaps exceed outside gaps.
 
@@ -71,24 +70,9 @@ def wilcoxon_signed_rank(
     differences = inside - outside
     if np.allclose(differences, 0.0):
         # Identical pools: no evidence whatsoever.
-        return SignificanceResult(
-            p_value=1.0,
-            statistic=0.0,
-            inside_mean_gap=float(inside.mean()),
-            outside_mean_gap=float(outside.mean()),
-            pairs=int(inside.size),
-            alpha=alpha,
-        )
-    if method == "scipy":
-        stat, p_value = stats.wilcoxon(
-            differences, alternative="greater", zero_method="wilcox"
-        )
-        statistic = float(stat)
-        p = float(p_value)
-    elif method == "builtin":
-        statistic, p = _wilcoxon_normal_approx(differences)
+        statistic, p = 0.0, 1.0
     else:
-        raise SubspaceError(f"unknown method {method!r}")
+        statistic, p = signed_rank_greater(differences)
     return SignificanceResult(
         p_value=p,
         statistic=statistic,
@@ -97,49 +81,3 @@ def wilcoxon_signed_rank(
         pairs=int(inside.size),
         alpha=alpha,
     )
-
-
-def _wilcoxon_normal_approx(differences: np.ndarray) -> tuple[float, float]:
-    """From-scratch one-sided signed-rank test (normal approximation).
-
-    Follows the classic recipe: drop zeros, rank |d| with midranks for
-    ties, sum the ranks of the positive differences, and compare against
-    the null mean n(n+1)/4 with a tie-corrected variance.
-    """
-    d = differences[differences != 0.0]
-    n = len(d)
-    if n == 0:
-        return 0.0, 1.0
-    abs_d = np.abs(d)
-    order = np.argsort(abs_d, kind="stable")
-    ranks = np.empty(n, dtype=float)
-    sorted_abs = abs_d[order]
-    i = 0
-    rank_position = 1
-    while i < n:
-        j = i
-        while j + 1 < n and math.isclose(
-            sorted_abs[j + 1], sorted_abs[i], rel_tol=0.0, abs_tol=1e-12
-        ):
-            j += 1
-        midrank = (rank_position + (rank_position + (j - i))) / 2.0
-        ranks[order[i : j + 1]] = midrank
-        rank_position += j - i + 1
-        i = j + 1
-
-    w_plus = float(ranks[d > 0].sum())
-    mean = n * (n + 1) / 4.0
-    variance = n * (n + 1) * (2 * n + 1) / 24.0
-    # Tie correction.
-    _, counts = np.unique(sorted_abs, return_counts=True)
-    variance -= float(np.sum(counts**3 - counts)) / 48.0
-    if variance <= 0:
-        return w_plus, 1.0
-    # Continuity correction, one-sided "greater".
-    z = (w_plus - mean - 0.5) / math.sqrt(variance)
-    p = 1.0 - _standard_normal_cdf(z)
-    return w_plus, float(min(max(p, 0.0), 1.0))
-
-
-def _standard_normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))

@@ -17,7 +17,7 @@ from repro.analyzer import (
 )
 from repro.analyzer.exclusion import ExclusionCoversSpace
 from repro.exceptions import AnalyzerError
-from repro.solver import Model, SolveStatus
+from repro.solver import Model
 from repro.subspace.region import Box
 
 

@@ -124,9 +124,7 @@ class TestSupervisor:
             assert status["slots"]["w0"]["generation"] == 1
             assert status["slots"]["w1"]["generation"] == 0
             # the dead incarnation is marked in the queue's worker table
-            states = {
-                w["worker_id"]: w["state"] for w in supervisor.queue.workers()
-            }
+            states = {w["worker_id"]: w["state"] for w in supervisor.queue.workers()}
             assert states.get("w0.g0") == "dead"
         finally:
             supervisor.stop()

@@ -1,7 +1,12 @@
 """Tests for the Type-3 generalizer: grammar, validation, enumeration."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from repro.exceptions import GeneralizeError
 from repro.generalize import (
@@ -20,6 +25,7 @@ from repro.generalize import (
     threshold_test,
     vbp_instance_generator,
 )
+from repro.ranks import kendall_tau_b, mann_whitney_u
 
 
 class TestMonotoneTest:
@@ -68,6 +74,116 @@ class TestThresholdTest:
         y = np.full(80, 3.0)
         evidence = threshold_test(x, y)
         assert not evidence.significant
+
+
+#: Off the exact branches both sides take a normal tail, SciPy's
+#: ``special.ndtr`` against ``math.erfc`` (at most 5.7e-14 apart, relative,
+#: for z in [-8, 37]); on the exact branches SciPy sums its null in
+#: floating point (about 1e-15 off the integer count). This bound was
+#: fixed before the code.
+P_REL_TOL = 1e-12
+
+GRIDS = {
+    "integer": st.integers(-6, 6).map(float),
+    "eighths": st.integers(-48, 48).map(lambda k: k / 8),
+    "float": st.floats(-6.0, 6.0, allow_subnormal=False),
+}
+
+
+def draw_sample(data, n: int, tied: bool) -> np.ndarray:
+    """``n`` values from a random grid; ``tied`` forces a repeated value."""
+    kind = data.draw(st.sampled_from(sorted(GRIDS)), label="kind")
+    values = st.lists(GRIDS[kind], min_size=n, max_size=n, unique=not tied)
+    x = np.array(data.draw(values))
+    if tied:
+        x[1] = x[0]
+    return x
+
+
+def assert_p_agrees(ours: float, ref: float) -> None:
+    assert math.isclose(ours, ref, rel_tol=P_REL_TOL, abs_tol=0.0)
+    assert (ours < 0.05) == (ref < 0.05)
+
+
+class TestKendallAgainstScipy:
+    """``kendall_tau_b`` and ``monotone_test`` vs ``scipy.stats.kendalltau``.
+
+    SciPy's ``method="auto"`` takes the exact null with no ties and
+    n <= 33 or at most one discordant (or concordant) pair, else the
+    normal approximation.
+    """
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["clean", "tied"])
+    @pytest.mark.parametrize("n", [33, 34])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_scipy(self, n, tied, data):
+        x = draw_sample(data, n, tied)
+        y = draw_sample(data, n, tied and data.draw(st.booleans()))
+        assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+        self.check(x, y)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("n", [34, 3000])
+    def test_near_perfect_order(self, n, swap, reverse):
+        # min(dis, tot - dis) <= 1: SciPy's exact branch beyond n = 33.
+        x = np.arange(n, dtype=float)
+        y = -x if reverse else x.copy()
+        if swap:
+            y[[5, 6]] = y[[6, 5]]
+        self.check(x, y)
+
+    @pytest.mark.parametrize("grid", [None, 300])
+    def test_paper_sized_sample(self, grid):
+        # The paper's 3000 samples: discordant pairs are counted in
+        # O(n log n), not from an n x n sign matrix.
+        rng = np.random.default_rng(3000)
+        x = rng.normal(size=3000)
+        y = x + rng.normal(size=3000) * 4.0
+        if grid:
+            x, y = np.round(x * grid / 30), np.round(y * grid / 30)
+        self.check(x, y)
+
+    @staticmethod
+    def check(x: np.ndarray, y: np.ndarray) -> None:
+        ref = stats.kendalltau(x, y)
+        tau, p = kendall_tau_b(x, y)
+        assert tau == ref.statistic
+        assert_p_agrees(p, ref.pvalue)
+        for direction, sign_ok in (
+            ("increasing", tau > 0),
+            ("decreasing", tau < 0),
+        ):
+            one_sided = ref.pvalue / 2 if sign_ok else 1 - ref.pvalue / 2
+            assert_p_agrees(monotone_test(x, y, direction).p_value, one_sided)
+
+
+class TestMannWhitneyAgainstScipy:
+    """``mann_whitney_u`` vs ``scipy.stats.mannwhitneyu`` (two-sided).
+
+    SciPy's ``method="auto"`` takes the exact null with no ties and a
+    smaller side of at most 8, else the normal approximation with the
+    continuity correction.
+    """
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["clean", "tied"])
+    @pytest.mark.parametrize("smaller", [8, 9])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_scipy(self, smaller, tied, data):
+        larger = data.draw(st.integers(smaller, 40), label="larger")
+        both = draw_sample(data, smaller + larger, tied)
+        both[:smaller] += data.draw(st.sampled_from([0.0, 0.5, 2.0]))
+        x, y = both[:smaller], both[smaller:]
+        assume(tied or np.unique(both).size == both.size)
+        assume(np.ptp(both) > 0)
+        if data.draw(st.booleans(), label="swap"):
+            x, y = y, x
+        ref = stats.mannwhitneyu(x, y, alternative="two-sided")
+        u, p = mann_whitney_u(x, y)
+        assert u == ref.statistic
+        assert_p_agrees(p, ref.pvalue)
 
 
 class TestBenjaminiHochberg:

@@ -9,7 +9,6 @@ from promtext import parse, sample
 from repro.obs import (
     MetricsRegistry,
     merged_snapshot,
-    render_prometheus,
     write_worker_snapshot,
 )
 

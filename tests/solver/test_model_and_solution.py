@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ModelError
-from repro.solver import INF, Model, Relation, SolveStatus, VarType, quicksum
+from repro.solver import INF, Model, Relation, SolveStatus, quicksum
 from repro.solver.solution import Solution, SolveStats
 
 

@@ -13,7 +13,6 @@ from repro.subspace import (
     SampleSet,
     dkw_sample_size,
     expand_around,
-    sample_in_box,
     sample_in_shell,
 )
 

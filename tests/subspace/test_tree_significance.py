@@ -1,8 +1,10 @@
 """Tests for the regression tree (Fig. 5b) and the significance checker."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -136,16 +138,6 @@ class TestWilcoxon:
         with pytest.raises(SubspaceError):
             wilcoxon_signed_rank(np.zeros(3), np.ones(3))
 
-    def test_builtin_matches_scipy(self):
-        rng = np.random.default_rng(2)
-        for _ in range(6):
-            inside = rng.normal(1.0, 0.5, size=35)
-            outside = rng.normal(0.7, 0.5, size=35)
-            ours = wilcoxon_signed_rank(inside, outside, method="builtin")
-            scipys = wilcoxon_signed_rank(inside, outside, method="scipy")
-            # Normal approximation vs exact: agree within a tolerance.
-            assert ours.p_value == pytest.approx(scipys.p_value, abs=0.02)
-
     @settings(max_examples=20, deadline=None)
     @given(
         st.lists(
@@ -154,10 +146,10 @@ class TestWilcoxon:
             max_size=12,
         )
     )
-    def test_builtin_p_value_in_unit_interval(self, shifts):
+    def test_p_value_in_unit_interval(self, shifts):
         inside = np.linspace(0, 1, 12) + np.array(shifts)
         outside = np.linspace(0, 1, 12)
-        result = wilcoxon_signed_rank(inside, outside, method="builtin")
+        result = wilcoxon_signed_rank(inside, outside)
         assert 0.0 <= result.p_value <= 1.0
 
     def test_describe_mentions_verdict(self):
@@ -166,3 +158,81 @@ class TestWilcoxon:
         outside = rng.normal(0.0, 0.1, size=20)
         text = wilcoxon_signed_rank(inside, outside).describe()
         assert "significant" in text
+
+
+#: Off the counted branches both sides take a normal tail, SciPy's
+#: ``special.ndtr`` against ``math.erfc``: they differ by at most 5.7e-14
+#: relative for z in [-8, 37]. This bound was fixed before the code.
+P_REL_TOL = 1e-12
+
+GRIDS = {
+    "integer": st.integers(-6, 6).map(float),
+    "eighths": st.integers(-48, 48).map(lambda k: k / 8),
+    "float": st.floats(-6.0, 6.0, allow_subnormal=False),
+}
+MAGNITUDES = {
+    "integer": st.integers(1, 400).map(float),
+    "eighths": st.integers(1, 400).map(lambda k: k / 8),
+    "float": st.floats(1e-3, 6.0),
+}
+
+
+def draw_differences(data, n: int, tied: bool) -> np.ndarray:
+    """``n`` differences; ``tied`` forces a zero or a tie in ``|d|``."""
+    kind = data.draw(st.sampled_from(sorted(GRIDS)), label="kind")
+    if not tied:
+        size = st.lists(MAGNITUDES[kind], min_size=n, max_size=n, unique=True)
+        signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
+        return np.array(data.draw(size)) * np.array(data.draw(signs))
+    d = np.array(data.draw(st.lists(GRIDS[kind], min_size=n, max_size=n)))
+    if data.draw(st.booleans(), label="zero"):
+        d[0] = 0.0
+    else:
+        d[1] = -d[0]
+    assume(not np.allclose(d, 0.0))
+    return d
+
+
+class TestSignedRankAgainstScipy:
+    """``wilcoxon_signed_rank`` vs ``scipy.stats.wilcoxon``, branch by branch.
+
+    SciPy's ``method="auto"``: above 50 pairs the normal approximation;
+    otherwise the exact null with no ties or zeros, the 2^n sign-flip
+    permutation test at n <= 13, and the normal approximation between.
+    """
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["clean", "tied"])
+    @pytest.mark.parametrize("n", [5, 13, 14, 50, 51])
+    def test_matches_scipy(self, n, tied):
+        counted = n <= 50 and (n <= 13 or not tied)
+        # SciPy's sign-flip loop makes 2^13 statistic calls: ~2 s an example.
+        examples = 4 if (tied and n == 13) else 25
+
+        @settings(max_examples=examples, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            d = draw_differences(data, n, tied)
+            ours = wilcoxon_signed_rank(d, np.zeros(n))
+            ref = stats.wilcoxon(d, alternative="greater", zero_method="wilcox")
+            assert ours.statistic == float(ref.statistic)
+            if counted:  # count / 2^n on both sides
+                assert ours.p_value == float(ref.pvalue)
+            else:
+                assert math.isclose(
+                    ours.p_value, ref.pvalue, rel_tol=P_REL_TOL, abs_tol=0.0
+                )
+            assert ours.significant == (ref.pvalue < ours.alpha)
+
+        check()
+
+    def test_integer_gaps_with_ties_and_zeros(self):
+        # 12 integer miss-count gap pairs, as a caching job draws them:
+        # four zero differences and tied ranks, so SciPy runs its
+        # sign-flip loop. All 8 nonzero differences are positive, so only
+        # the all-plus sign pattern reaches R+ = 36.
+        inside = np.array([3, 2, 4, 1, 3, 2, 5, 2, 3, 4, 2, 3], dtype=float)
+        outside = np.array([1, 2, 1, 1, 0, 2, 1, 0, 1, 2, 2, 1], dtype=float)
+        ours = wilcoxon_signed_rank(inside, outside)
+        ref = stats.wilcoxon(inside - outside, alternative="greater")
+        assert (ours.statistic, ours.p_value) == (ref.statistic, ref.pvalue)
+        assert (ours.statistic, ours.p_value) == (36.0, 1 / 2**8)
