@@ -28,7 +28,7 @@ from repro.subspace.sampler import sample_in_box
 def _subspace(problem, seed):
     generator = AdversarialSubspaceGenerator(
         problem,
-        MetaOptAnalyzer(problem, backend="scipy"),
+        MetaOptAnalyzer(problem),
         GeneratorConfig(
             max_subspaces=1,
             tree_extra_samples=200,
@@ -123,7 +123,7 @@ def test_ablation_linear_features(benchmark, ff_problem):
 
 def test_ablation_recentering(benchmark, ff_problem):
     """The analyzer's vertex seed sits on the region boundary."""
-    example = MetaOptAnalyzer(ff_problem, backend="scipy").find_adversarial()
+    example = MetaOptAnalyzer(ff_problem).find_adversarial()
     rng = np.random.default_rng(5)
 
     def density_around(center):
@@ -135,7 +135,7 @@ def test_ablation_recentering(benchmark, ff_problem):
         # Recenter exactly the way the generator does.
         generator = AdversarialSubspaceGenerator(
             ff_problem,
-            MetaOptAnalyzer(ff_problem, backend="scipy"),
+            MetaOptAnalyzer(ff_problem),
             GeneratorConfig(seed=5),
         )
         anchor, _ = generator._recenter(example.x, 0.5, rng)

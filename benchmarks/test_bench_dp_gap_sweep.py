@@ -24,9 +24,7 @@ def test_dp_relative_gap_sweep(benchmark, fig1a_demand_set):
             problem = demand_pinning_problem(
                 fig1a_demand_set, threshold=threshold, d_max=100.0
             )
-            example = MetaOptAnalyzer(
-                problem, backend="scipy"
-            ).find_adversarial()
+            example = MetaOptAnalyzer(problem).find_adversarial()
             if example is None:
                 curve.append((threshold, 0.0, 0.0))
                 continue

@@ -26,6 +26,7 @@ from repro.domains.binpack import build_ff_encoding
 from repro.domains.te import build_dp_encoding
 from repro.solver import Model, VarType
 from repro.solver.presolve import presolve
+from repro.solver.simplex import solve_lp
 
 
 def _median_solve_seconds(model_factory, repeats=5):
@@ -33,7 +34,7 @@ def _median_solve_seconds(model_factory, repeats=5):
     for _ in range(repeats):
         model = model_factory()
         start = time.perf_counter()
-        solution = model.solve(backend="scipy")
+        solution = model.solve()
         times.append(time.perf_counter() - start)
         assert solution.is_optimal
     return float(np.median(times))
@@ -46,7 +47,7 @@ def _median_presolve_solve_seconds(model_factory, repeats=5):
         start = time.perf_counter()
         result = presolve(model)
         assert not result.infeasible
-        solution = result.reduced.solve(backend="scipy")
+        solution = result.reduced.solve()
         times.append(time.perf_counter() - start)
         assert solution.is_optimal
     return float(np.median(times))
@@ -85,9 +86,9 @@ def _median_tableau_seconds(model_factory, presolve_first, repeats=5):
         if presolve_first:
             result = presolve(model)
             assert not result.infeasible
-            solution = result.reduced.solve(backend="simplex")
+            solution = solve_lp(result.reduced)
         else:
-            solution = model.solve(backend="simplex")
+            solution = solve_lp(model)
         times.append(time.perf_counter() - start)
         assert solution.is_optimal
     return float(np.median(times))

@@ -14,7 +14,7 @@ from repro.analyzer import MetaOptAnalyzer
 
 
 def test_fig1b_dp_encoding(benchmark, dp_problem):
-    analyzer = MetaOptAnalyzer(dp_problem, backend="scipy")
+    analyzer = MetaOptAnalyzer(dp_problem)
     example = benchmark(analyzer.find_adversarial)
     assert example is not None
     values = dict(zip(dp_problem.input_names, example.x))
@@ -34,7 +34,7 @@ def test_fig1b_dp_encoding(benchmark, dp_problem):
 
 
 def test_fig1c_ff_encoding(benchmark, ff_problem):
-    analyzer = MetaOptAnalyzer(ff_problem, backend="scipy")
+    analyzer = MetaOptAnalyzer(ff_problem)
     example = benchmark(analyzer.find_adversarial)
     assert example is not None
     sizes = np.sort(example.x)

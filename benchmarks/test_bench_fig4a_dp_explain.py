@@ -25,7 +25,7 @@ SAMPLES = 300  # paper used 3000; the pattern stabilizes far earlier
 def test_fig4a_heatmap(benchmark, dp_problem):
     generator = AdversarialSubspaceGenerator(
         dp_problem,
-        MetaOptAnalyzer(dp_problem, backend="scipy"),
+        MetaOptAnalyzer(dp_problem),
         GeneratorConfig(
             max_subspaces=1,
             tree_extra_samples=200,

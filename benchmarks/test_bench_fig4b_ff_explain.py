@@ -24,7 +24,7 @@ SAMPLES = 300
 def test_fig4b_heatmap(benchmark, ff_problem):
     generator = AdversarialSubspaceGenerator(
         ff_problem,
-        MetaOptAnalyzer(ff_problem, backend="scipy"),
+        MetaOptAnalyzer(ff_problem),
         GeneratorConfig(
             max_subspaces=1,
             tree_extra_samples=200,

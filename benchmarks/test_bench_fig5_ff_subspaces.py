@@ -24,7 +24,7 @@ def test_fig5_subspaces(benchmark, ff_problem):
     def run():
         generator = AdversarialSubspaceGenerator(
             ff_problem,
-            MetaOptAnalyzer(ff_problem, backend="scipy"),
+            MetaOptAnalyzer(ff_problem),
             GeneratorConfig(
                 max_subspaces=2,
                 tree_extra_samples=256,

@@ -21,7 +21,7 @@ PAIRS = 100  # paired samples for the signed-rank test
 def _first_subspace(problem, seed):
     generator = AdversarialSubspaceGenerator(
         problem,
-        MetaOptAnalyzer(problem, backend="scipy"),
+        MetaOptAnalyzer(problem),
         GeneratorConfig(
             max_subspaces=1,
             tree_extra_samples=200,

@@ -18,7 +18,7 @@ BUDGET = 300
 
 
 def test_random_vs_exact_on_dp(benchmark, dp_problem):
-    exact = MetaOptAnalyzer(dp_problem, backend="scipy").find_adversarial()
+    exact = MetaOptAnalyzer(dp_problem).find_adversarial()
     assert exact is not None
 
     def run():

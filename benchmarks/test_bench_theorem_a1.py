@@ -65,7 +65,7 @@ def test_theorem_a1_roundtrips(benchmark):
         results = []
         for model in models:
             encoded = encode_model(model)
-            value, values = encoded.solve(backend="scipy")
+            value, values = encoded.solve()
             results.append((model, encoded, value, values))
         return results
 
@@ -74,7 +74,7 @@ def test_theorem_a1_roundtrips(benchmark):
     rows = ["THMA1 - MILP -> DSL -> optimization round-trips"]
     allowed = {k for k in NodeKind}
     for model, encoded, value, values in results:
-        direct = model.solve(backend="scipy")
+        direct = model.solve()
         kinds_used = sorted(
             {k.value for node in encoded.graph.nodes for k in node.kinds}
         )

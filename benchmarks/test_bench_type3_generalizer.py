@@ -32,10 +32,7 @@ def test_type3_increasing_path_length(benchmark):
     instances = list(generate_instances(generator, NUM_INSTANCES, rng))
 
     def run():
-        observations = observe_with_analyzer(
-            instances,
-            lambda problem: MetaOptAnalyzer(problem, backend="scipy"),
-        )
+        observations = observe_with_analyzer(instances, MetaOptAnalyzer)
         return observations, EnumerativeGeneralizer().search(observations)
 
     observations, result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -50,8 +50,8 @@ def main() -> None:
         suffix = ", ..." if len(nodes) > 6 else ""
         print(f"  {kinds:<18} x{len(nodes):<3} {names}{suffix}")
 
-    value, assignment = encoded.solve(backend="scipy")
-    direct = model.solve(backend="scipy")
+    value, assignment = encoded.solve()
+    direct = model.solve()
 
     print()
     print("=" * 70)

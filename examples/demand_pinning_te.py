@@ -40,7 +40,7 @@ def worked_example(demand_set) -> None:
 def analyzer_stage(problem) -> None:
     print("=" * 70)
     print("2. The heuristic analyzer (MetaOpt-style bilevel rewrite)")
-    example = MetaOptAnalyzer(problem, backend="scipy").find_adversarial()
+    example = MetaOptAnalyzer(problem).find_adversarial()
     print(f"   adversarial input: {problem.describe_input(example.x)}")
     print(f"   worst-case gap:    {example.validated_gap:g} "
           f"(encoding predicted {example.predicted_gap:g})")

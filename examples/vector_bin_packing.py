@@ -41,14 +41,14 @@ def analyzer_and_subspaces() -> None:
     print("=" * 70)
     print("2. Exact analyzer + subspace generator (4 balls, 3 bins)")
     problem = first_fit_problem(num_balls=4, num_bins=3)
-    example = MetaOptAnalyzer(problem, backend="scipy").find_adversarial()
+    example = MetaOptAnalyzer(problem).find_adversarial()
     print(f"   adversarial sizes: {np.round(example.x, 3)} "
           f"(paper: 1%, 49%, 51%, 51%)")
     print(f"   gap = {example.validated_gap:g} extra bin(s) for First Fit")
 
     generator = AdversarialSubspaceGenerator(
         problem,
-        MetaOptAnalyzer(problem, backend="scipy"),
+        MetaOptAnalyzer(problem),
         GeneratorConfig(max_subspaces=1, seed=1),
     )
     report = generator.run()

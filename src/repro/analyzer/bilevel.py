@@ -30,7 +30,6 @@ class MetaOptAnalyzer:
     """Exact adversarial-input search via the problem's MILP encoding."""
 
     problem: AnalyzedProblem
-    backend: str = "scipy"
     #: refuse results whose encoding gap and oracle gap disagree by more
     #: than this relative tolerance
     validation_rtol: float = 1e-3
@@ -61,7 +60,7 @@ class MetaOptAnalyzer:
         except ExclusionCoversSpace:
             return None
 
-        solution = encoding.model.solve(backend=self.backend)
+        solution = encoding.model.solve()
         if solution.status is SolveStatus.INFEASIBLE:
             return None
         if solution.status is not SolveStatus.OPTIMAL:

@@ -598,9 +598,7 @@ def cmd_type3(args) -> int:
             rng,
         )
     )
-    observations = observe_with_analyzer(
-        instances, lambda problem: MetaOptAnalyzer(problem, backend="scipy")
-    )
+    observations = observe_with_analyzer(instances, MetaOptAnalyzer)
     result = EnumerativeGeneralizer().search(observations)
     print(result.describe())
     return 0

@@ -11,7 +11,6 @@
 from repro.compiler.compile import (
     CompiledModel,
     compile_graph,
-    objective_value,
     solve_graph,
 )
 from repro.compiler.lowering import lower_graph
@@ -29,7 +28,6 @@ __all__ = [
     "encode_model",
     "flows_by_name",
     "lower_graph",
-    "objective_value",
     "rewrite_graph",
     "solve_graph",
 ]

@@ -1,9 +1,12 @@
 """High-level compile entry points.
 
 ``compile_graph`` turns a flow graph into a ready-to-solve model (optionally
-rewritten and presolved); ``solve_graph`` is the one-shot convenience used
-throughout the explainer, which evaluates thousands of samples by fixing the
-graph's input supplies to sampled values.
+rewritten and presolved); ``solve_graph`` compiles and solves in one call,
+with the graph's input supplies fixed to given values. Inside the package
+its callers are the compiled-DSL helpers: ``solve_te_graph`` (the Fig. 4a
+TE graph) and the Appendix-A encoder behind ``repro encode``. The
+explainer does not solve graphs; it reads each problem's
+``heuristic_flows``/``benchmark_flows``.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from repro.compiler.lowering import lower_graph
 from repro.compiler.rewrite import RewriteStats, rewrite_graph
 from repro.compiler.varmap import EdgeKey, VarMap
 from repro.dsl.graph import FlowGraph
-from repro.exceptions import CompilerError
 from repro.solver.model import Model
 from repro.solver.presolve import PresolveResult, presolve
-from repro.solver.solution import Solution, SolveStatus
+from repro.solver.solution import Solution
 
 
 @dataclass
@@ -31,15 +33,11 @@ class CompiledModel:
     rewrite_stats: RewriteStats | None = None
     presolve_result: PresolveResult | None = None
 
-    def solve(self, backend: str = "auto") -> Solution:
+    def solve(self) -> Solution:
         """Solve and (when presolved) recover original-variable values."""
         if self.presolve_result is not None:
-            if self.presolve_result.infeasible:
-                return Solution(status=SolveStatus.INFEASIBLE)
-            assert self.presolve_result.reduced is not None
-            inner = self.presolve_result.reduced.solve(backend=backend)
-            return self.presolve_result.recover(inner)
-        return self.model.solve(backend=backend)
+            return self.presolve_result.solve()
+        return self.model.solve()
 
     def flows(self, solution: Solution) -> dict[EdgeKey, float]:
         return self.varmap.flows(solution)
@@ -78,7 +76,6 @@ def compile_graph(
 def solve_graph(
     graph: FlowGraph,
     inputs: Mapping[str, float] | None = None,
-    backend: str = "auto",
     rewrite: bool = True,
     run_presolve: bool = True,
 ) -> tuple[Solution, CompiledModel]:
@@ -86,25 +83,5 @@ def solve_graph(
     compiled = compile_graph(
         graph, inputs=inputs, rewrite=rewrite, run_presolve=run_presolve
     )
-    solution = compiled.solve(backend=backend)
-    return solution, compiled
+    return compiled.solve(), compiled
 
-
-def objective_value(
-    graph: FlowGraph,
-    inputs: Mapping[str, float],
-    backend: str = "auto",
-) -> float:
-    """The graph's objective at the given inputs.
-
-    Raises :class:`CompilerError` when the instance is infeasible — callers
-    sampling input boxes are expected to stay inside declared input ranges,
-    so infeasibility indicates a modeling bug, not a bad sample.
-    """
-    solution, _ = solve_graph(graph, inputs=inputs, backend=backend)
-    if not solution.is_optimal:
-        raise CompilerError(
-            f"graph {graph.name!r} is {solution.status.value} at inputs {dict(inputs)!r}"
-        )
-    assert solution.objective is not None
-    return solution.objective

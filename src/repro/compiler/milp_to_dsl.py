@@ -86,9 +86,9 @@ class EncodedProblem:
             var: totals[i] for i, var in enumerate(self.original.variables)
         }
 
-    def solve(self, backend: str = "auto") -> tuple[float, dict[Variable, float]]:
+    def solve(self) -> tuple[float, dict[Variable, float]]:
         """Compile, solve, and return (original optimum, variable values)."""
-        solution, compiled = solve_graph(self.graph, backend=backend)
+        solution, compiled = solve_graph(self.graph)
         if not solution.is_optimal:
             raise CompilerError(
                 f"encoded graph is {solution.status.value}; the original "
@@ -310,10 +310,9 @@ def _expand_row(row: np.ndarray, columns: list[_Column]) -> dict[int, float]:
     return coeffs
 
 
-def encode_and_solve(model: Model, backend: str = "auto") -> tuple[float, dict[Variable, float]]:
+def encode_and_solve(model: Model) -> tuple[float, dict[Variable, float]]:
     """Round-trip helper: encode, compile, solve, recover (tests use this)."""
-    encoded = encode_model(model)
-    return encoded.solve(backend=backend)
+    return encode_model(model).solve()
 
 
 def _integer_cap_rows(columns: list[_Column], mf) -> list[tuple[dict[int, float], float]]:

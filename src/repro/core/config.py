@@ -10,9 +10,8 @@ from repro.subspace.generator import GeneratorConfig
 
 #: legal values for the string-valued knobs, validated eagerly so a typo
 #: fails at construction with a clear message instead of deep inside
-#: ``make_analyzer`` / the solver dispatch
+#: ``make_analyzer`` or the search
 ANALYZERS = ("auto", "metaopt", "blackbox")
-BACKENDS = ("auto", "scipy", "simplex")
 BLACKBOX_STRATEGIES = ("random", "hillclimb", "anneal")
 # SEARCH_POLICIES is defined next to the policies themselves
 # (repro.search.policy) and re-exported here for config consumers.
@@ -32,8 +31,6 @@ class XPlainConfig:
     #: black-box search strategy when the black-box analyzer is used
     blackbox_strategy: str = "hillclimb"
     blackbox_budget: int = 400
-    #: MILP backend for the exact analyzer
-    backend: str = "scipy"
     #: §5.2 subspace generation
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     #: §5.3 samples per subspace heatmap (paper: 3000)
@@ -70,11 +67,6 @@ class XPlainConfig:
             raise AnalyzerError(
                 f"unknown analyzer {self.analyzer!r}; "
                 f"expected one of {ANALYZERS}"
-            )
-        if self.backend not in BACKENDS:
-            raise AnalyzerError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {BACKENDS}"
             )
         if self.blackbox_strategy not in BLACKBOX_STRATEGIES:
             raise AnalyzerError(

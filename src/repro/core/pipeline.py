@@ -80,7 +80,7 @@ class XPlain:
                 raise AnalyzerError(
                     f"problem {self.problem.name!r} has no exact encoding"
                 )
-            return MetaOptAnalyzer(self.problem, backend=config.backend)
+            return MetaOptAnalyzer(self.problem)
         if mode == "blackbox":
             return BlackBoxAnalyzer(
                 self.problem,
@@ -219,12 +219,7 @@ class XPlain:
             generate_instances(instance_generator, num_instances, rng)
         )
         if use_exact_analyzer:
-            observations = observe_with_analyzer(
-                instances,
-                lambda problem: MetaOptAnalyzer(
-                    problem, backend=self.config.backend
-                ),
-            )
+            observations = observe_with_analyzer(instances, MetaOptAnalyzer)
         else:
             observations = observe_across_instances(
                 instances, samples_per_instance, rng

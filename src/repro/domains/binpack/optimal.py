@@ -8,9 +8,8 @@ Two implementations of the same minimum bin count:
   the gap oracle and the explainer up to
   :data:`~repro.domains.partitions.MAX_ENUM_ITEMS` balls.
 * :func:`solve_optimal_packing` — the assignment MILP, solved by
-  SciPy/HiGHS unless another ``backend`` is named. It is the scalar
-  reference the enumerator is tested against, and the per-point path
-  above the enumeration cap.
+  SciPy/HiGHS. It is the scalar reference the enumerator is tested
+  against, and the per-point path above the enumeration cap.
 
 Both number bins by their lowest-index ball, the order in which First
 Fit opens bins.
@@ -32,9 +31,7 @@ from repro.exceptions import AnalyzerError
 from repro.solver import Model, SolveStatus, VarType, quicksum
 
 
-def solve_optimal_packing(
-    instance: VbpInstance, backend: str = "scipy"
-) -> PackingResult:
+def solve_optimal_packing(instance: VbpInstance) -> PackingResult:
     """The minimum-bin packing (raises when even that is infeasible).
 
     Bins are numbered by their lowest-index ball.
@@ -74,7 +71,7 @@ def solve_optimal_packing(
         model.add_constraint(used[j] >= used[j + 1], name=f"sym[{j}]")
     model.set_objective(quicksum(used))
 
-    solution = model.solve(backend=backend)
+    solution = model.solve()
     if solution.status is not SolveStatus.OPTIMAL:
         raise AnalyzerError(
             f"optimal packing failed: {solution.status.value} "
@@ -89,8 +86,8 @@ def solve_optimal_packing(
     return PackingResult(assignment, feasible=True, algorithm="optimal")
 
 
-def optimal_bin_count(instance: VbpInstance, backend: str = "scipy") -> int:
-    return solve_optimal_packing(instance, backend=backend).bins_used
+def optimal_bin_count(instance: VbpInstance) -> int:
+    return solve_optimal_packing(instance).bins_used
 
 
 def lower_bound(instance: VbpInstance) -> int:

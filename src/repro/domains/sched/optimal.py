@@ -29,9 +29,7 @@ from repro.exceptions import AnalyzerError
 from repro.solver import Model, SolveStatus, VarType, quicksum
 
 
-def solve_optimal_schedule(
-    instance: SchedInstance, backend: str = "scipy"
-) -> Schedule:
+def solve_optimal_schedule(instance: SchedInstance) -> Schedule:
     """Minimize the makespan over all job -> machine assignments.
 
     Machines are numbered by their lowest-index job.
@@ -55,7 +53,7 @@ def solve_optimal_schedule(
         )
         model.add_constraint(load <= makespan, name=f"span[{j}]")
     model.set_objective(makespan)
-    solution = model.solve(backend=backend)
+    solution = model.solve()
     if solution.status is not SolveStatus.OPTIMAL:
         raise AnalyzerError(
             f"optimal scheduling failed: {solution.status.value}"
@@ -69,9 +67,8 @@ def solve_optimal_schedule(
     return Schedule(assignment, algorithm="optimal")
 
 
-def optimal_makespan(instance: SchedInstance, backend: str = "scipy") -> float:
-    schedule = solve_optimal_schedule(instance, backend=backend)
-    return schedule.makespan(instance)
+def optimal_makespan(instance: SchedInstance) -> float:
+    return solve_optimal_schedule(instance).makespan(instance)
 
 
 def optimal_schedule_batch(

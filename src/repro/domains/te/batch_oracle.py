@@ -15,13 +15,12 @@ batch through the tensorized dual-simplex slab
 (:meth:`~repro.solver.template.LpTemplate.solve_slab`): the per-batch rhs
 and objective matrices are assembled vectorized, every instance
 warm-starts from one shared basis, and the pivot loops run in lockstep
-over a stacked tableau. ``REPRO_SLAB_ENGINE`` selects the engine —
-``tensor`` (default), ``scalar`` (the bit-identical per-instance
-reference), or ``off`` (the pre-slab chained per-point loop, kept as the
-benchmark baseline).
+over a stacked tableau. That is its one path; the pre-slab per-point loop
+survives only as the baseline of ``benchmarks/test_bench_solver_slab.py``.
 
 The scalar path (``AnalyzedProblem.evaluate``) is kept as the reference
-implementation; equivalence tests check the two agree.
+implementation; equivalence tests check the two agree, and a test runs a
+whole TE analysis on the scalar slab engine to check it bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from repro.analyzer.interface import GapSamples
 from repro.domains.te.demands import DemandSet
 from repro.domains.te.optimal import build_optimal_te_model
 from repro.domains.te.pinning import build_pinning_template_model
-from repro.solver.slab import slab_engine
-from repro.solver.solution import SolveStatus
 from repro.solver.template import LpTemplate
 
 
@@ -57,85 +54,42 @@ class TeBatchOracle:
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        """Construct both templates (once, on first use)."""
+        """Construct both templates and their batch maps (once, on first use)."""
         demand_set = self.demand_set
         full = {key: self.d_max for key in demand_set.keys}
-        opt_model, opt_vars = build_optimal_te_model(demand_set, full)
-        self._opt_template = LpTemplate(opt_model)
-        self._opt_dem_rows = [f"dem[{key}]" for key in demand_set.keys]
-
+        opt_model, _ = build_optimal_te_model(demand_set, full)
         dp_model, dp_vars = build_pinning_template_model(
             demand_set, self.d_max
         )
-        self._dp_flow_vars = list(dp_vars.values())
-        self._dp_dem_rows = list(self._opt_dem_rows)
-        #: per demand: (shortest-path var, [blk row names])
-        self._dp_pin_controls = []
-        for demand in demand_set.demands:
-            shortest = dp_vars[(demand.key, demand.shortest_path.name)]
-            blk_rows = [
-                f"blk[{demand.key}|{path.name}]"
-                for path in demand.paths[1:]
-            ]
-            self._dp_pin_controls.append((shortest, blk_rows))
-        self._dp_template = LpTemplate(dp_model)
+        opt_t = self._opt_template = LpTemplate(opt_model)
+        dp_t = self._dp_template = LpTemplate(dp_model)
 
         # ---- vectorized slab-batch maps -------------------------------
-        opt_t, dp_t = self._opt_template, self._dp_template
-        self._opt_rhs_map = opt_t.rhs_map(self._opt_dem_rows)
-        self._dp_rhs_map = dp_t.rhs_map(self._dp_dem_rows)
-        blk_names = [
-            blk for _, blk_rows in self._dp_pin_controls for blk in blk_rows
-        ]
+        dem_rows = [f"dem[{key}]" for key in demand_set.keys]
+        self._opt_rhs_map = opt_t.rhs_map(dem_rows)
+        self._dp_rhs_map = dp_t.rhs_map(dem_rows)
+        # Each demand's blocking rows, and the demand owning each row (the
+        # pin pattern broadcasts through it).
+        blk_names, blk_owner, shortest_cols = [], [], []
+        for d, demand in enumerate(demand_set.demands):
+            shortest = dp_vars[(demand.key, demand.shortest_path.name)]
+            shortest_cols.append(shortest.index)
+            for path in demand.paths[1:]:
+                blk_names.append(f"blk[{demand.key}|{path.name}]")
+                blk_owner.append(d)
         self._dp_blk_map = dp_t.rhs_map(blk_names)
-        #: demand index owning each blk row (pin pattern broadcast)
-        self._dp_blk_owner = np.array(
-            [
-                d
-                for d, (_, blk_rows) in enumerate(self._dp_pin_controls)
-                for _ in blk_rows
-            ],
-            dtype=np.int64,
-        )
-        self._dp_shortest_cols = np.array(
-            [var.index for var, _ in self._dp_pin_controls], dtype=np.int64
-        )
+        self._dp_blk_owner = np.array(blk_owner, dtype=np.int64)
+        self._dp_shortest_cols = np.array(shortest_cols, dtype=np.int64)
         self._dp_flow_cols = np.array(
-            [var.index for var in self._dp_flow_vars], dtype=np.int64
+            [var.index for var in dp_vars.values()], dtype=np.int64
         )
 
     # ------------------------------------------------------------------
     def __call__(self, xs: np.ndarray) -> GapSamples:
+        """Serve the whole batch as two slab solves (OPT + DP)."""
         if self._opt_template is None:
             self._build()
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        engine = slab_engine()
-        if engine == "off":
-            return self._call_pointwise(xs)
-        return self._call_slab(xs, engine)
-
-    def _call_pointwise(self, xs: np.ndarray) -> GapSamples:
-        """Pre-slab per-point loop (chained warm starts); the benchmark
-        baseline the slab speedup is measured against."""
-        n = len(xs)
-        benchmark = np.empty(n)
-        heuristic = np.empty(n)
-        feasible = np.ones(n, dtype=bool)
-        for i, x in enumerate(xs):
-            opt = self._solve_optimal(x)
-            dp = self._solve_pinning(x)
-            if opt is None or dp is None:
-                # Template trouble (numerically degenerate point): fall
-                # back to the scalar reference oracle for this point.
-                self.fallback_points += 1
-                benchmark[i], heuristic[i], feasible[i] = self._scalar(x)
-                continue
-            benchmark[i] = opt
-            heuristic[i] = dp
-        return GapSamples(xs, benchmark, heuristic, feasible)
-
-    def _call_slab(self, xs: np.ndarray, engine: str) -> GapSamples:
-        """Serve the whole batch as two slab solves (OPT + DP)."""
         K = len(xs)
         opt_t, dp_t = self._opt_template, self._dp_template
 
@@ -143,7 +97,7 @@ class TeBatchOracle:
         rows, signs, shifts = self._opt_rhs_map
         b_opt = np.tile(opt_t.base_rhs(), (K, 1))
         b_opt[:, rows] = signs * xs - shifts
-        opt_res = opt_t.solve_slab(b_opt, engine=engine)
+        opt_res = opt_t.solve_slab(b_opt)
 
         # DP: demand rows, blocking rows, and the pinned-flow weights vary.
         rows, signs, shifts = self._dp_rhs_map
@@ -158,7 +112,7 @@ class TeBatchOracle:
         c_dp[:, self._dp_shortest_cols] = dp_t._sign * np.where(
             pinned, weight[:, None], 1.0
         )
-        dp_res = dp_t.solve_slab(b_dp, c_dp, engine=engine)
+        dp_res = dp_t.solve_slab(b_dp, c_dp)
 
         benchmark = opt_res.objectives
         # The weighted DP objective inflates the reported value; the
@@ -173,43 +127,13 @@ class TeBatchOracle:
 
         bad = ~(opt_res.ok & dp_res.ok)
         for i in np.where(bad)[0]:
+            # Template trouble (numerically degenerate point): fall back
+            # to the scalar reference oracle for this point.
             self.fallback_points += 1
             benchmark[i], heuristic[i], feasible[i] = self._scalar(xs[i])
         return GapSamples(xs, benchmark, heuristic, feasible)
 
     # ------------------------------------------------------------------
-    def _solve_optimal(self, x: np.ndarray) -> float | None:
-        template = self._opt_template
-        for row, value in zip(self._opt_dem_rows, x):
-            template.set_rhs(row, float(value))
-        solution = template.solve()
-        if solution.status is not SolveStatus.OPTIMAL:
-            return None
-        return float(solution.objective)
-
-    def _solve_pinning(self, x: np.ndarray) -> float | None:
-        template = self._dp_template
-        threshold = self.threshold
-        weight = 1.0 + float(np.sum(x))
-        for (shortest, blk_rows), row, value in zip(
-            self._dp_pin_controls, self._dp_dem_rows, x
-        ):
-            value = float(value)
-            template.set_rhs(row, value)
-            pinned = 0.0 < value <= threshold
-            for blk in blk_rows:
-                template.set_rhs(blk, 0.0 if pinned else self.d_max)
-            template.set_objective_coeff(shortest, weight if pinned else 1.0)
-        solution = template.solve()
-        if solution.status is not SolveStatus.OPTIMAL:
-            return None
-        # The weighted objective inflates the reported value; the heuristic
-        # total is the plain routed flow (mirrors solve_demand_pinning).
-        values = solution.values
-        return float(
-            sum(max(0.0, values[var]) for var in self._dp_flow_vars)
-        )
-
     def _scalar(self, x: np.ndarray) -> tuple[float, float, bool]:
         from repro.domains.te.optimal import solve_optimal_te
         from repro.domains.te.pinning import solve_demand_pinning

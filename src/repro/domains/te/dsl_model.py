@@ -146,7 +146,6 @@ def solve_te_graph(
     graph: FlowGraph,
     demand_set: DemandSet,
     values: Mapping[str, float] | np.ndarray,
-    backend: str = "auto",
 ) -> tuple[float, dict[tuple[str, str], float]]:
     """Solve the compiled Fig. 4a graph at concrete demand values.
 
@@ -156,7 +155,7 @@ def solve_te_graph(
     """
     value_map = demand_set.values_from(values)
     inputs = {demand_node(k): v for k, v in value_map.items()}
-    solution, compiled = solve_graph(graph, inputs=inputs, backend=backend)
+    solution, compiled = solve_graph(graph, inputs=inputs)
     if not solution.is_optimal:
         raise AnalyzerError(
             f"TE graph solve failed: {solution.status.value}"

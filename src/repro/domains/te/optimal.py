@@ -75,12 +75,11 @@ def build_optimal_te_model(
 def solve_optimal_te(
     demand_set: DemandSet,
     values: Mapping[str, float] | np.ndarray,
-    backend: str = "scipy",
 ) -> TEResult:
     """Maximize total routed flow for the given demand values."""
     value_map = demand_set.values_from(values)
     model, flow_vars = build_optimal_te_model(demand_set, value_map)
-    solution = model.solve(backend=backend)
+    solution = model.solve()
     if solution.status is not SolveStatus.OPTIMAL:
         raise AnalyzerError(
             f"optimal TE solve failed: {solution.status.value}"

@@ -46,7 +46,6 @@ def solve_demand_pinning(
     values: Mapping[str, float] | np.ndarray,
     threshold: float,
     strict: bool = False,
-    backend: str = "scipy",
 ) -> TEResult:
     """Run DP: pin small demands to shortest paths, max-flow the rest."""
     value_map = demand_set.values_from(values)
@@ -77,7 +76,7 @@ def solve_demand_pinning(
 
     if strict:
         model.set_objective(quicksum(flow_vars.values()))
-        solution = model.solve(backend=backend)
+        solution = model.solve()
         if solution.status is not SolveStatus.OPTIMAL:
             return TEResult(
                 total_flow=0.0, feasible=False, pinned=pinned
@@ -99,7 +98,7 @@ def solve_demand_pinning(
     if pinned_terms:
         objective = objective + (weight - 1.0) * quicksum(pinned_terms)
     model.set_objective(objective)
-    solution = model.solve(backend=backend)
+    solution = model.solve()
     if solution.status is not SolveStatus.OPTIMAL:
         return TEResult(total_flow=0.0, feasible=False, pinned=pinned)
     result = _result_from(demand_set, flow_vars, solution)
@@ -153,14 +152,13 @@ def pinning_gap(
     demand_set: DemandSet,
     values: Mapping[str, float] | np.ndarray,
     threshold: float,
-    backend: str = "scipy",
 ) -> float:
     """OPT(d) - DP(d): how much flow pinning gives up on this input."""
     from repro.domains.te.optimal import solve_optimal_te
 
     value_map = demand_set.values_from(values)
-    optimal = solve_optimal_te(demand_set, value_map, backend=backend)
+    optimal = solve_optimal_te(demand_set, value_map)
     heuristic = solve_demand_pinning(
-        demand_set, value_map, threshold, strict=False, backend=backend
+        demand_set, value_map, threshold, strict=False
     )
     return optimal.total_flow - heuristic.total_flow

@@ -95,11 +95,18 @@ class CampaignSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "CampaignSpec":
+        """Parse a spec; any malformed part raises :class:`AnalyzerError`."""
+        if not isinstance(data, dict):
+            raise AnalyzerError("campaign spec must be a JSON object")
         jobs_data = data.get("jobs")
         if not jobs_data:
             raise AnalyzerError("campaign spec has no 'jobs'")
+        if not isinstance(jobs_data, list):
+            raise AnalyzerError("campaign spec 'jobs' must be a list of jobs")
         jobs = []
         for i, job in enumerate(jobs_data):
+            if not isinstance(job, dict):
+                raise AnalyzerError(f"campaign job #{i} must be an object")
             if "problem" not in job:
                 raise AnalyzerError(f"campaign job #{i} has no 'problem' spec")
             name = str(job.get("name", f"job-{i}"))
@@ -110,23 +117,60 @@ class CampaignSpec:
                     "file name (letters, digits, '.', '_', '-' only; "
                     "'campaign' is reserved for the aggregate report)"
                 )
+            seed = job.get("seed")
+            if seed is not None and not (_is_int(seed) and seed >= 0):
+                raise AnalyzerError(
+                    f"campaign job {name!r} 'seed' must be an integer >= 0 "
+                    f"or null, got {seed!r}"
+                )
             jobs.append(
                 CampaignJob(
                     name=name,
                     problem=ProblemSpec.from_dict(job["problem"]),
-                    config=dict(job.get("config", {})),
-                    seed=job.get("seed"),
+                    config=_config_block(
+                        job.get("config", {}), f"campaign job {name!r} 'config'"
+                    ),
+                    seed=seed,
                 )
             )
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise AnalyzerError(f"campaign job names must be unique, got {names}")
+        seed = data.get("seed", 0)
+        # The store keeps the campaign seed in a signed 64-bit column.
+        if not (_is_int(seed) and -(2**63) <= seed < 2**63):
+            raise AnalyzerError(
+                f"campaign spec 'seed' must be a 64-bit integer, got {seed!r}"
+            )
         return CampaignSpec(
             name=str(data.get("name", "campaign")),
-            seed=int(data.get("seed", 0)),
-            defaults=dict(data.get("defaults", {})),
+            seed=seed,
+            defaults=_config_block(
+                data.get("defaults", {}), "campaign spec 'defaults'"
+            ),
             jobs=jobs,
         )
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (``true``/``false`` are not seeds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_block(value, where: str) -> dict:
+    """A copy of a config override object, checked for shape only.
+
+    Its values are checked when the job runs; only the nested
+    ``generator`` block must already be an object, because
+    :func:`plan_campaign` merges it key-wise.
+    """
+    if not isinstance(value, dict):
+        raise AnalyzerError(f"{where} must be an object, got {value!r}")
+    if not isinstance(value.get("generator", {}), dict):
+        raise AnalyzerError(
+            f"{where} 'generator' must be an object, got {value['generator']!r}"
+        )
+    return dict(value)
 
 
 def _toml_module():

@@ -70,6 +70,8 @@ class ProblemSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "ProblemSpec":
+        if not isinstance(data, dict):
+            raise AnalyzerError(f"problem spec must be an object, got {data!r}")
         unknown = set(data) - {"factory", "kwargs", "domain"}
         if unknown:
             # A typoed key would otherwise be silently dropped and the
@@ -83,6 +85,11 @@ class ProblemSpec:
             raise AnalyzerError("problem spec 'kwargs' must be a mapping")
         domain = data.get("domain")
         factory = data.get("factory")
+        for key, value in (("domain", domain), ("factory", factory)):
+            if value is not None and not isinstance(value, str):
+                raise AnalyzerError(
+                    f"problem spec {key!r} must be a string, got {value!r}"
+                )
         if domain is not None and factory is not None:
             raise AnalyzerError(
                 "problem spec has both 'domain' and 'factory'; give one "
@@ -93,7 +100,7 @@ class ProblemSpec:
 
             # Unknown domains fail here with the registered list — not
             # later as a bare factory-import error inside a worker.
-            factory = registry().get(str(domain)).factory
+            factory = registry().get(domain).factory
         if factory is None:
             raise AnalyzerError("problem spec needs a 'factory' or 'domain' key")
         return ProblemSpec(factory=factory, kwargs=kwargs)

@@ -1,16 +1,14 @@
 """Branch-and-bound MILP solver on top of the two-phase simplex.
 
-Best-first search over LP relaxations with most-fractional branching. This
-is the MILP engine behind the MetaOpt-style analyzer encodings (which use
-binary indicator variables for pinning decisions, first-fit logic, and
-complementary-slackness big-Ms).
+Best-first search over LP relaxations with most-fractional branching. It
+is the independent MILP reference the tests cross-check HiGHS against; the
+pipeline itself solves every model with HiGHS (``Model.solve``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +72,7 @@ def _most_fractional(x: np.ndarray, int_idx: np.ndarray) -> int | None:
     return int(int_idx[worst])
 
 
-def solve_milp(
-    model: Model,
-    time_limit: float | None = None,
-    node_limit: int = 200_000,
-) -> Solution:
+def solve_milp(model: Model, node_limit: int = 200_000) -> Solution:
     """Solve a mixed-integer model; falls back to pure LP when possible."""
     mf = model.to_matrix_form()
     int_idx = np.where(mf.integrality == 1)[0]
@@ -87,7 +81,6 @@ def solve_milp(
 
         return solve_lp(model)
 
-    start = time.perf_counter()
     total_iterations = 0
     nodes_explored = 0
     counter = itertools.count()  # heap tiebreaker
@@ -146,9 +139,6 @@ def solve_milp(
         if bound >= incumbent_value - PRUNE_TOL:
             continue  # pruned by bound
         if nodes_explored >= node_limit:
-            hit_node_limit = True
-            break
-        if time_limit is not None and time.perf_counter() - start > time_limit:
             hit_node_limit = True
             break
 

@@ -1,13 +1,12 @@
 """The optimization model container.
 
-A :class:`Model` owns variables and constraints and knows how to export
-itself to matrix form and to dispatch solving to a backend:
-
-* ``backend="simplex"`` — the from-scratch two-phase simplex (LP) plus
-  branch-and-bound (MILP) implemented in this package;
-* ``backend="scipy"`` — ``scipy.optimize.linprog`` / ``milp`` (HiGHS);
-* ``backend="auto"`` — simplex/B&B for small models, SciPy beyond a size
-  threshold. Tests cross-check the two backends against each other.
+A :class:`Model` owns variables and constraints, exports itself to matrix
+form, and solves itself with HiGHS through SciPy
+(:func:`~repro.solver.scipy_backend.solve_scipy`). The from-scratch
+two-phase simplex (:func:`~repro.solver.simplex.solve_lp`) and
+branch-and-bound (:func:`~repro.solver.branch_and_bound.solve_milp`) take
+a :class:`Model` too; they are the independent references the tests
+cross-check HiGHS against, called by name.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ from repro.solver.expr import (
     VarType,
 )
 from repro.solver.solution import Solution
-
-#: "auto" switches from the built-in simplex to SciPy above this many
-#: variables or constraints; the built-in solver is exact but dense.
-AUTO_SCIPY_THRESHOLD = 160
 
 _model_counter = itertools.count()
 
@@ -243,45 +238,15 @@ class Model:
         )
 
     # -- solving ----------------------------------------------------------------
-    def solve(
-        self,
-        backend: str = "auto",
-        time_limit: float | None = None,
-        node_limit: int = 200_000,
-    ) -> Solution:
-        """Solve the model and return a :class:`Solution`.
+    def solve(self) -> Solution:
+        """Solve the model with HiGHS and return a :class:`Solution`."""
+        # Imported here so that loading the model container does not load
+        # scipy: a campaign that never solves a model never pays for it.
+        from repro.solver.scipy_backend import solve_scipy
 
-        ``backend`` is one of ``"simplex"`` (built-in exact solver),
-        ``"scipy"`` (HiGHS via SciPy), or ``"auto"``.
-        """
         start = time.perf_counter()
-        if backend == "auto":
-            big = (
-                self.num_variables > AUTO_SCIPY_THRESHOLD
-                or self.num_constraints > AUTO_SCIPY_THRESHOLD
-            )
-            backend = "scipy" if big else "simplex"
-
-        if backend == "simplex":
-            if self.is_mip:
-                from repro.solver.branch_and_bound import solve_milp
-
-                solution = solve_milp(
-                    self, time_limit=time_limit, node_limit=node_limit
-                )
-            else:
-                from repro.solver.simplex import solve_lp
-
-                solution = solve_lp(self)
-        elif backend == "scipy":
-            from repro.solver.scipy_backend import solve_scipy
-
-            solution = solve_scipy(self, time_limit=time_limit)
-        else:
-            raise ModelError(f"unknown backend {backend!r}")
-
+        solution = solve_scipy(self)
         solution.stats.runtime_seconds = time.perf_counter() - start
-        solution.stats.backend = backend
         return solution
 
     # -- misc ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.solver.expr import Constraint, LinExpr, Relation, Variable, VarType
 from repro.solver.model import INF, Model
-from repro.solver.solution import Solution, SolveStats, SolveStatus
+from repro.solver.solution import Solution, SolveStatus
 
 #: Tolerance for deciding that a bound pair / fixed value is contradictory.
 FEAS_TOL = 1e-7
@@ -60,8 +60,16 @@ class PresolveResult:
     _new_vars: dict[Variable, Variable] = field(default_factory=dict, repr=False)
 
     def recover(self, solution: Solution) -> Solution:
-        """Translate a solution of the reduced model to the original model."""
-        if not solution.is_optimal and solution.status is not SolveStatus.NODE_LIMIT:
+        """Translate a solution of the reduced model to the original model.
+
+        A solution without values (no optimum, or a node limit reached
+        before any incumbent) comes back unchanged.
+        """
+        incumbent = (
+            solution.status is SolveStatus.NODE_LIMIT
+            and solution.objective is not None
+        )
+        if not (solution.is_optimal or incumbent):
             return solution
         values: dict[Variable, float] = {}
         for var in self.original.variables:
@@ -76,6 +84,22 @@ class PresolveResult:
             values=values,
             stats=solution.stats,
         )
+
+    def solve(self) -> Solution:
+        """Solve the reduced model and recover the original solution.
+
+        The solution's stats record how much presolve removed.
+        """
+        if self.infeasible:
+            solution = Solution(status=SolveStatus.INFEASIBLE)
+        else:
+            assert self.reduced is not None
+            solution = self.recover(self.reduced.solve())
+        solution.stats.presolve_removed_vars = self.stats.removed_variables
+        solution.stats.presolve_removed_constraints = (
+            self.stats.dropped_constraints + self.stats.deduplicated_constraints
+        )
+        return solution
 
 
 class _AffineUnionFind:
@@ -332,22 +356,6 @@ def presolve(model: Model, max_rounds: int = 16) -> PresolveResult:
     )
 
 
-def solve_with_presolve(model: Model, backend: str = "auto") -> Solution:
+def solve_with_presolve(model: Model) -> Solution:
     """Presolve, solve the reduced model, and recover the original solution."""
-    result = presolve(model)
-    if result.infeasible:
-        return Solution(
-            status=SolveStatus.INFEASIBLE,
-            stats=SolveStats(
-                presolve_removed_vars=result.stats.removed_variables,
-                presolve_removed_constraints=result.stats.dropped_constraints,
-            ),
-        )
-    assert result.reduced is not None
-    solution = result.reduced.solve(backend=backend)
-    recovered = result.recover(solution)
-    recovered.stats.presolve_removed_vars = result.stats.removed_variables
-    recovered.stats.presolve_removed_constraints = (
-        result.stats.dropped_constraints + result.stats.deduplicated_constraints
-    )
-    return recovered
+    return presolve(model).solve()

@@ -1,8 +1,9 @@
-"""SciPy (HiGHS) backend.
+"""SciPy (HiGHS) backend: the one solver behind :meth:`Model.solve`.
 
-Used two ways: as the fast path for large compiled models (``backend="auto"``
-switches over above a size threshold) and as an independent oracle that the
-test suite cross-checks the from-scratch simplex/branch-and-bound against.
+Every model the pipeline solves (analyzer encodings, scalar domain
+oracles, compiled DSL graphs) goes through :func:`solve_scipy`. The test
+suite cross-checks it against the from-scratch simplex and
+branch-and-bound, which are kept as independent references.
 """
 
 from __future__ import annotations
@@ -29,13 +30,36 @@ def _status_from_milp(status_code: int) -> SolveStatus:
         1: SolveStatus.ITERATION_LIMIT,
         2: SolveStatus.INFEASIBLE,
         3: SolveStatus.UNBOUNDED,
-        4: SolveStatus.NODE_LIMIT,
     }.get(status_code, SolveStatus.ERROR)
 
 
-def solve_scipy(model: Model, time_limit: float | None = None) -> Solution:
+#: A constant row of a model with no variables holds within this
+#: tolerance (HiGHS's default primal feasibility tolerance).
+FEAS_TOL = 1e-7
+
+
+def _solve_constant(mf) -> Solution:
+    """A model with no variables: its objective is a constant.
+
+    SciPy rejects an empty cost vector, and presolve leaves such a model
+    whenever it fixes every variable of a compiled graph.
+    """
+    stats = SolveStats(backend="scipy")
+    if np.any(mf.b_ub < -FEAS_TOL) or np.any(np.abs(mf.b_eq) > FEAS_TOL):
+        return Solution(status=SolveStatus.INFEASIBLE, stats=stats)
+    return Solution(
+        status=SolveStatus.OPTIMAL,
+        objective=mf.objective_sign * mf.c0,
+        values={},
+        stats=stats,
+    )
+
+
+def solve_scipy(model: Model) -> Solution:
     """Solve ``model`` with ``scipy.optimize.linprog`` or ``milp``."""
     mf = model.to_matrix_form()
+    if not mf.variables:
+        return _solve_constant(mf)
     bounds_lb = mf.lb.copy()
     bounds_ub = mf.ub.copy()
 
@@ -58,8 +82,6 @@ def solve_scipy(model: Model, time_limit: float | None = None) -> Solution:
         # makespan passes the default tolerance); the gap oracle needs the
         # true optimum, so require (near-)exact convergence.
         options = {"mip_rel_gap": 1e-9}
-        if time_limit is not None:
-            options["time_limit"] = time_limit
         result = optimize.milp(
             c=mf.c,
             constraints=constraints,

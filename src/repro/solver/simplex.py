@@ -11,7 +11,10 @@ deliberately a classic textbook implementation:
   after a stall, which guarantees termination.
 
 Dense tableaus are perfectly adequate at the scale of the paper's examples
-(tens to a few hundred variables); the SciPy backend covers anything larger.
+(tens to a few hundred variables). The tableau routines serve the LP
+templates and the slab (:mod:`repro.solver.template`,
+:mod:`repro.solver.slab`); :func:`solve_lp` solves a whole :class:`Model`
+and is the reference the tests cross-check HiGHS against.
 """
 
 from __future__ import annotations

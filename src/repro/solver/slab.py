@@ -21,27 +21,23 @@ for every instance. This module batches the whole slab:
 
 Two engines implement the same protocol:
 
+* ``engine="tensor"`` — the stacked implementation, and the one every
+  production caller uses (the default).
 * ``engine="scalar"`` — a per-instance loop over the existing
   :func:`~repro.solver.simplex.solve_with_basis` /
   :func:`~repro.solver.simplex.solve_standard_form` functions. This is the
-  reference semantics.
-* ``engine="tensor"`` — the stacked implementation. Every arithmetic step
-  replicates the scalar engine's numpy expressions elementwise, so the two
-  engines return **bit-identical** arrays (statuses, objectives, solution
-  vectors, iteration counts). The solver-bench CI job diffs them per
-  domain to keep that invariant honest.
+  reference semantics: every arithmetic step of the tensor engine
+  replicates its numpy expressions elementwise, so the two engines return
+  **bit-identical** arrays (statuses, objectives, solution vectors,
+  iteration counts). Tests pass ``engine="scalar"`` by name to hold the
+  tensor engine to it, down to a whole TE analysis. A slab with no rows
+  always runs here.
 
-``REPRO_SLAB_ENGINE`` picks the engine when a caller passes none. It is
-read at call time by :func:`slab_engine`, the one place engine names
-are parsed: ``tensor`` (the default, also when unset or empty),
-``scalar``, or ``off``. ``off`` makes the TE batch oracle fall back to
-its pre-slab per-point loop (the benchmark baseline); a slab solve
-asked for ``off`` runs ``tensor``. Any other name raises.
+Any other ``engine`` raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,28 +57,6 @@ from repro.solver.standard_form import StandardForm
 #: into sequential chunks that share the same seed basis (identical
 #: results — instances are independent once ``B0`` is fixed).
 MAX_TENSOR_CELLS = 4_000_000
-
-#: legal ``REPRO_SLAB_ENGINE`` / ``engine=`` values
-ENGINES = ("tensor", "scalar", "off")
-
-
-def slab_engine(engine: str | None = None) -> str:
-    """The validated engine name: ``engine``, else ``REPRO_SLAB_ENGINE``.
-
-    An unset or empty variable means ``tensor``. Raises ``ValueError``
-    naming the legal values for anything outside :data:`ENGINES`.
-    """
-    source = "engine"
-    if engine is None:
-        source = "REPRO_SLAB_ENGINE"
-        engine = os.environ.get(source, "").strip().lower() or "tensor"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown slab engine {engine!r} in {source}; "
-            f"expected one of {', '.join(ENGINES)}"
-        )
-    return engine
-
 
 @dataclass
 class SlabResult:
@@ -119,7 +93,7 @@ def solve_slab(
     b_matrix: np.ndarray,
     c_matrix: np.ndarray | None = None,
     start_basis: list[int] | None = None,
-    engine: str | None = None,
+    engine: str = "tensor",
     max_iter: int | None = None,
 ) -> SlabResult:
     """Solve ``K`` instances of ``sf`` differing only in ``b`` (and ``c``).
@@ -130,10 +104,13 @@ def solve_slab(
     reusable basis and warm-starts the rest from it. The seed basis is
     fixed for the whole slab — results are a pure function of
     ``(sf, b_matrix, c_matrix, start_basis)``, independent of engine.
-    ``engine`` defaults to :func:`slab_engine`'s reading of the
-    environment.
+    ``engine`` is ``"tensor"`` or the reference ``"scalar"``.
     """
-    tensor = slab_engine(engine) != "scalar"
+    if engine not in ("tensor", "scalar"):
+        raise ValueError(
+            f"unknown slab engine {engine!r}; expected 'tensor' or 'scalar'"
+        )
+    tensor = engine == "tensor"
     b_matrix = np.asarray(b_matrix, dtype=float)
     if b_matrix.ndim != 2:
         raise ValueError("b_matrix must be (K, m)")

@@ -221,7 +221,7 @@ class LpTemplate:
         self,
         b_matrix: np.ndarray,
         c_model_matrix: np.ndarray | None = None,
-        engine: str | None = None,
+        engine: str = "tensor",
     ) -> TemplateSlabResult:
         """Solve ``K`` instances sharing this template's structure.
 
@@ -234,7 +234,7 @@ class LpTemplate:
         protocol); the carry then advances to the last instance's basis,
         exactly as a scalar loop over :meth:`solve` would leave it.
         ``engine`` is passed to :func:`~repro.solver.slab.solve_slab`,
-        which validates it (``None`` reads ``REPRO_SLAB_ENGINE``).
+        which validates it (``"scalar"`` is the reference tests use).
         """
         start = time.perf_counter()
         b_matrix = np.asarray(b_matrix, dtype=float)

@@ -105,13 +105,13 @@ class TestMetaOptAnalyzer:
 
     def test_finds_encoding_optimum(self):
         problem = make_linear_encoding_problem()
-        example = MetaOptAnalyzer(problem, backend="simplex").find_adversarial()
+        example = MetaOptAnalyzer(problem).find_adversarial()
         assert example.validated_gap == pytest.approx(2.0)
         assert np.allclose(example.x, [1.0, 1.0])
 
     def test_exclusion_moves_search(self):
         problem = make_linear_encoding_problem()
-        analyzer = MetaOptAnalyzer(problem, backend="simplex")
+        analyzer = MetaOptAnalyzer(problem)
         first = analyzer.find_adversarial()
         corner = Box((0.9, 0.9), (1.0, 1.0))
         second = analyzer.find_adversarial(excluded=[corner])
@@ -121,7 +121,7 @@ class TestMetaOptAnalyzer:
 
     def test_exclusion_of_whole_space_returns_none(self):
         problem = make_linear_encoding_problem()
-        analyzer = MetaOptAnalyzer(problem, backend="simplex")
+        analyzer = MetaOptAnalyzer(problem)
         everything = Box((0.0, 0.0), (1.0, 1.0))
         assert analyzer.find_adversarial(excluded=[everything]) is None
 
@@ -137,7 +137,7 @@ class TestMetaOptAnalyzer:
 
         problem.exact_model = lying_model
         with pytest.raises(AnalyzerError, match="mismatch"):
-            MetaOptAnalyzer(problem, backend="simplex").find_adversarial()
+            MetaOptAnalyzer(problem).find_adversarial()
 
 
 class TestExclusionConstraint:
@@ -146,7 +146,7 @@ class TestExclusionConstraint:
         x = model.add_var("x", lb=0.0, ub=10.0)
         model.set_objective(x)
         add_box_exclusion(model, [x], Box((8.0,), (10.0,)), index=0)
-        solution = model.solve(backend="scipy")
+        solution = model.solve()
         assert solution.is_optimal
         # Best allowed point is just below the box.
         assert solution.objective == pytest.approx(8.0, abs=1e-3)
@@ -157,7 +157,7 @@ class TestExclusionConstraint:
         y = model.add_var("y", lb=0.0, ub=1.0)
         model.set_objective(x + y)
         add_box_exclusion(model, [x, y], Box((0.5, 0.5), (1.0, 1.0)), index=0)
-        solution = model.solve(backend="scipy")
+        solution = model.solve()
         # Optimum outside the excluded corner: one coordinate near 0.5.
         assert solution.objective == pytest.approx(1.5, abs=1e-3)
 

@@ -16,10 +16,10 @@ from repro.exceptions import CompilerError
 from repro.solver import Model, SolveStatus, quicksum
 
 
-def roundtrip(model, backend="auto"):
-    direct = model.solve(backend="scipy")
+def roundtrip(model):
+    direct = model.solve()
     assert direct.status is SolveStatus.OPTIMAL, "test model must be solvable"
-    encoded_value, values = encode_and_solve(model, backend=backend)
+    encoded_value, values = encode_and_solve(model)
     assert encoded_value == pytest.approx(direct.objective, abs=1e-5)
     # Recovered assignment must be feasible for the original model and
     # achieve the same objective.
@@ -210,4 +210,4 @@ class TestEncoderProperty:
             data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)
         ]
         m.set_objective(quicksum(c * x for c, x in zip(obj, xs)))
-        roundtrip(m, backend="scipy")
+        roundtrip(m)

@@ -2,7 +2,8 @@
 
 For random layered flow graphs (input sources -> routing layers -> sink):
 
-* the built-in simplex and SciPy agree on the compiled model's optimum;
+* branch-and-bound (the built-in reference) and SciPy agree on the
+  compiled model's optimum;
 * rewrites + presolve never change the optimum;
 * flow conservation holds at every SPLIT node of the solution;
 * all flows respect edge capacities.
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.compiler import compile_graph, solve_graph
 from repro.dsl import FlowGraph, NodeKind, InputSpec
 from repro.solver import SolveStatus
+from repro.solver.branch_and_bound import solve_milp
 
 
 @st.composite
@@ -86,8 +88,9 @@ class TestRandomGraphCompilation:
     @settings(max_examples=25, deadline=None)
     @given(layered_graph())
     def test_backends_agree(self, graph):
-        ours, _ = solve_graph(graph, backend="simplex")
-        scipy_sol, _ = solve_graph(graph, backend="scipy")
+        presolved = compile_graph(graph).presolve_result
+        ours = presolved.recover(solve_milp(presolved.reduced))
+        scipy_sol, _ = solve_graph(graph)
         assert ours.status is SolveStatus.OPTIMAL
         assert scipy_sol.status is SolveStatus.OPTIMAL
         assert ours.objective == pytest.approx(scipy_sol.objective, abs=1e-6)
@@ -95,19 +98,15 @@ class TestRandomGraphCompilation:
     @settings(max_examples=25, deadline=None)
     @given(layered_graph())
     def test_rewrite_and_presolve_preserve_optimum(self, graph):
-        naive, _ = solve_graph(
-            graph, backend="scipy", rewrite=False, run_presolve=False
-        )
-        tuned, _ = solve_graph(
-            graph, backend="scipy", rewrite=True, run_presolve=True
-        )
+        naive, _ = solve_graph(graph, rewrite=False, run_presolve=False)
+        tuned, _ = solve_graph(graph, rewrite=True, run_presolve=True)
         assert naive.objective == pytest.approx(tuned.objective, abs=1e-6)
 
     @settings(max_examples=20, deadline=None)
     @given(layered_graph())
     def test_conservation_and_capacity(self, graph):
         compiled = compile_graph(graph, rewrite=False, run_presolve=False)
-        solution = compiled.solve(backend="scipy")
+        solution = compiled.solve()
         assert solution.is_optimal
         flows = compiled.varmap.flows(solution)
         for edge in graph.edges:

@@ -15,10 +15,6 @@ class TestConfigValidation:
         with pytest.raises(AnalyzerError, match="unknown analyzer 'metopt'"):
             XPlainConfig(analyzer="metopt")
 
-    def test_unknown_backend(self):
-        with pytest.raises(AnalyzerError, match="unknown backend"):
-            XPlainConfig(backend="gurobi")
-
     def test_unknown_blackbox_strategy(self):
         with pytest.raises(AnalyzerError, match="unknown blackbox strategy"):
             XPlainConfig(blackbox_strategy="genetic")
@@ -29,11 +25,16 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="executor"):
             XPlainConfig(executor="threads")
 
-    @pytest.mark.parametrize("knob", ["workers", "unit_points"])
-    def test_removed_parallel_knobs_fail_loudly(self, knob):
-        # Even a value the old fields accepted is refused.
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("workers", 1), ("unit_points", 1), ("backend", "scipy")],
+        ids=["workers", "unit_points", "backend"],
+    )
+    def test_removed_parallel_knobs_fail_loudly(self, knob, value):
+        # Even a value the old fields accepted is refused. (``backend``
+        # went with the solver switch: every solve runs on HiGHS.)
         with pytest.raises(TypeError, match=knob):
-            XPlainConfig(**{knob: 1})
+            XPlainConfig(**{knob: value})
 
     def test_error_message_lists_choices(self):
         with pytest.raises(AnalyzerError, match="metaopt"):

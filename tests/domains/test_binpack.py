@@ -171,7 +171,7 @@ class TestVbpGraphAndFlows:
 class TestFfEncoding:
     def test_four_balls_three_bins_gap_is_one(self):
         problem = first_fit_problem(num_balls=4, num_bins=3)
-        example = MetaOptAnalyzer(problem, backend="scipy").find_adversarial()
+        example = MetaOptAnalyzer(problem).find_adversarial()
         assert example is not None
         assert example.validated_gap == pytest.approx(1.0)
         assert example.consistent
@@ -181,7 +181,7 @@ class TestFfEncoding:
         # two just-over-half. Any permutation with that structure gives
         # FF=3 vs OPT=2; check the structural signature.
         problem = first_fit_problem(num_balls=4, num_bins=3)
-        example = MetaOptAnalyzer(problem, backend="scipy").find_adversarial()
+        example = MetaOptAnalyzer(problem).find_adversarial()
         sizes = np.sort(example.x)
         over_half = np.sum(sizes > 0.5 - 1e-6)
         assert over_half >= 2  # at least the two blockers
@@ -194,7 +194,7 @@ class TestFfEncoding:
             encoding = build_ff_encoding(4, 4)
             for var, value in zip(encoding.input_vars, sizes):
                 encoding.model.add_constraint(var == float(value))
-            solution = encoding.model.solve(backend="scipy")
+            solution = encoding.model.solve()
             assert solution.is_optimal
             inst = VbpInstance.one_dimensional(sizes, num_bins=4)
             ff = first_fit(inst)

@@ -98,7 +98,7 @@ class TestTeGraph:
 class TestDpEncoding:
     def test_fig1a_worst_case_gap(self, fig1a_set):
         problem = demand_pinning_problem(fig1a_set, threshold=50.0, d_max=100.0)
-        analyzer = MetaOptAnalyzer(problem, backend="scipy")
+        analyzer = MetaOptAnalyzer(problem)
         example = analyzer.find_adversarial()
         assert example is not None
         assert example.validated_gap == pytest.approx(100.0, abs=1e-3)
@@ -106,7 +106,7 @@ class TestDpEncoding:
 
     def test_adversarial_demand_matches_paper_shape(self, fig1a_set):
         problem = demand_pinning_problem(fig1a_set, threshold=50.0, d_max=100.0)
-        example = MetaOptAnalyzer(problem, backend="scipy").find_adversarial()
+        example = MetaOptAnalyzer(problem).find_adversarial()
         values = dict(zip(problem.input_names, example.x))
         # Type-1 shape from §3: the pinnable demand sits at the threshold,
         # the interfering demands saturate their capacity.
@@ -131,7 +131,7 @@ class TestDpEncoding:
             encoding = build_dp_encoding(fig1a_set, threshold=50.0, d_max=100.0)
             for var, value in zip(encoding.input_vars, demands):
                 encoding.model.add_constraint(var == float(value))
-            solution = encoding.model.solve(backend="scipy")
+            solution = encoding.model.solve()
             assert solution.is_optimal
             gap_from_encoding = solution.objective
             values = dict(zip(fig1a_set.keys, demands))
@@ -146,7 +146,7 @@ class TestDpEncoding:
 
     def test_min_gap_cutoff_returns_none(self, fig1a_set):
         problem = demand_pinning_problem(fig1a_set, threshold=50.0, d_max=100.0)
-        analyzer = MetaOptAnalyzer(problem, backend="scipy")
+        analyzer = MetaOptAnalyzer(problem)
         assert analyzer.find_adversarial(min_gap=1000.0) is None
 
     def test_naive_encoding_same_optimum(self, fig1a_set):
@@ -155,8 +155,8 @@ class TestDpEncoding:
             fig1a_set, threshold=50.0, d_max=100.0, naive=True
         )
         assert fat.model.num_variables > lean.model.num_variables
-        lean_obj = lean.model.solve(backend="scipy").objective
-        fat_obj = fat.model.solve(backend="scipy").objective
+        lean_obj = lean.model.solve().objective
+        fat_obj = fat.model.solve().objective
         assert lean_obj == pytest.approx(fat_obj, abs=1e-4)
 
     def test_problem_features_present(self, fig1a_set):

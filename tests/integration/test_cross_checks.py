@@ -22,6 +22,7 @@ from repro.domains.te import (
 )
 from repro.dsl import FlowGraphBuilder, NodeKind
 from repro.explain.scoring import FLOW_TOL
+from repro.solver.branch_and_bound import solve_milp
 
 
 class TestCompiledDslVsHandWrittenLp:
@@ -83,7 +84,7 @@ class TestFlowConservationOnCompiledModels:
             "d[2->3]": 30.0,
         }
         compiled = compile_graph(graph, inputs=inputs, rewrite=False, run_presolve=False)
-        solution = compiled.solve(backend="scipy")
+        solution = compiled.solve()
         assert solution.is_optimal
         self._check_conservation(graph, solution, compiled.varmap)
 
@@ -100,7 +101,7 @@ class TestFlowConservationOnCompiledModels:
             .build()
         )
         compiled = compile_graph(graph, rewrite=False, run_presolve=False)
-        solution = compiled.solve(backend="scipy")
+        solution = compiled.solve()
         assert solution.is_optimal
         self._check_conservation(graph, solution, compiled.varmap)
 
@@ -132,6 +133,12 @@ class TestHeuristicFlowsConsistency:
             assert problem.gap(x) == pytest.approx(float(expected))
 
 
+def solve_graph_by_reference(graph, **kwargs):
+    """``solve_graph`` with branch-and-bound in place of HiGHS."""
+    result = compile_graph(graph, **kwargs).presolve_result
+    return result.recover(solve_milp(result.reduced))
+
+
 class TestBackendAgreementOnCompiledGraphs:
     """Built-in simplex/B&B and SciPy agree on compiled DSL models."""
 
@@ -142,14 +149,14 @@ class TestBackendAgreementOnCompiledGraphs:
         )
         graph = build_te_graph(demand_set, max_demand=100.0)
         inputs = {"d[1->3]": 50.0, "d[1->2]": 100.0, "d[2->3]": 100.0}
-        ours, _ = solve_graph(graph, inputs=inputs, backend="simplex", rewrite=rewrite)
-        scipy_sol, _ = solve_graph(graph, inputs=inputs, backend="scipy", rewrite=rewrite)
+        ours = solve_graph_by_reference(graph, inputs=inputs, rewrite=rewrite)
+        scipy_sol, _ = solve_graph(graph, inputs=inputs, rewrite=rewrite)
         assert ours.objective == pytest.approx(scipy_sol.objective, abs=1e-6)
 
     def test_vbp_graph_backends_agree(self):
         problem = first_fit_problem(num_balls=3, num_bins=3)
         graph = problem.graph
         inputs = {f"ball[{i}]": v for i, v in enumerate([0.4, 0.5, 0.6])}
-        ours, _ = solve_graph(graph, inputs=inputs, backend="simplex")
-        scipy_sol, _ = solve_graph(graph, inputs=inputs, backend="scipy")
+        ours = solve_graph_by_reference(graph, inputs=inputs)
+        scipy_sol, _ = solve_graph(graph, inputs=inputs)
         assert ours.objective == pytest.approx(scipy_sol.objective, abs=1e-6)

@@ -3,14 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import AnalyzerError
 from repro.parallel.campaign import (
     CampaignSpec,
     deterministic_view,
     load_campaign_spec,
+    plan_campaign,
     run_campaign,
 )
+from repro.store.ids import campaign_id_for
 
 try:  # stdlib on 3.11+, tomli backport on 3.10 (requirements-dev.txt)
     import tomllib  # noqa: F401
@@ -154,6 +158,8 @@ class TestSpecParsing:
             ({"workers": 0}, "workers"),
             ({"workers": "many"}, "workers"),
             ({"generator": {"max_subspace": 1}}, "max_subspace"),
+            # the solver switch is gone: every solve runs on HiGHS
+            ({"backend": "scipy"}, "backend"),
         ],
     )
     def test_bad_config_values_fail_at_run(self, config, match):
@@ -221,6 +227,83 @@ class TestSpecParsing:
         )
         with pytest.raises(AnalyzerError, match="explodiness"):
             run_campaign(spec, workers=1)
+
+
+#: any JSON value (what ``json.loads`` of a request body can produce)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+
+
+def _containers(children):
+    lists = st.lists(children, max_size=3)
+    return lists | st.dictionaries(st.text(max_size=6), children, max_size=3)
+
+
+JSON_VALUES = st.recursive(_SCALARS, _containers, max_leaves=6)
+_BAND = "repro.parallel._testing:band_problem"
+_JOB = {"problem": {"factory": _BAND}}
+
+
+def _shaped(required=None, **optional):
+    """Objects with some of the keys, each well formed or any JSON."""
+    return JSON_VALUES | st.fixed_dictionaries(required or {}, optional=optional)
+
+
+_CONFIGS = _shaped(
+    generator=st.just({"max_subspaces": 1}) | JSON_VALUES,
+    search=st.just({"policy": "bandit"}) | JSON_VALUES,
+    explainer_samples=JSON_VALUES,
+)
+_PROBLEMS = _shaped(
+    factory=st.just(_BAND) | JSON_VALUES,
+    domain=st.just("caching") | JSON_VALUES,
+    kwargs=st.just({"dim": 2}) | JSON_VALUES,
+)
+_JOBS = _shaped(
+    {"problem": _PROBLEMS},
+    name=st.sampled_from(["a", "b"]) | JSON_VALUES,
+    config=_CONFIGS,
+    seed=st.integers() | JSON_VALUES,
+)
+SPECS = _shaped(
+    name=JSON_VALUES,
+    seed=st.integers() | JSON_VALUES,
+    defaults=_CONFIGS,
+    jobs=st.lists(_JOBS, max_size=3) | JSON_VALUES,
+)
+
+
+class TestMalformedSpecs:
+    """A bad spec fails at parse time with AnalyzerError (HTTP 400), never
+    with another exception (HTTP 500) or only once the campaign runs."""
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"jobs": [1]}, "job #0 must be an object"),
+            ({"jobs": [{"problem": {"factory": 5}}]}, "'factory' must be a string"),
+            ({"jobs": [{"problem": 5}]}, "problem spec must be an object"),
+            ({"jobs": "abc"}, "'jobs' must be a list"),
+            ({"seed": "x", "jobs": [_JOB]}, "spec 'seed' must be"),
+            ({"defaults": [], "jobs": [_JOB]}, "'defaults' must be an object"),
+            ({"jobs": [dict(_JOB, config=[])]}, "'config' must be an object"),
+            ({"jobs": [dict(_JOB, seed="x")]}, "job 'job-0' 'seed'"),
+            ({"jobs": [dict(_JOB, seed=-1)]}, "job 'job-0' 'seed'"),
+            ({"jobs": [dict(_JOB, config={"generator": 5})]}, "'generator' must be"),
+        ],
+    )
+    def test_rejected_at_parse_time(self, data, match):
+        with pytest.raises(AnalyzerError, match=match):
+            CampaignSpec.from_dict(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SPECS)
+    def test_any_json_parses_or_raises_analyzer_error(self, data):
+        # Parse, then plan and address it, as a service submit does.
+        try:
+            spec = CampaignSpec.from_dict(data)
+            campaign_id_for(spec.name, spec.seed, plan_campaign(spec))
+        except AnalyzerError:
+            pass
 
 
 class TestRunCampaign:

@@ -84,6 +84,16 @@ class TestMalformedRequests:
         assert status == 400
         assert body["error"]
 
+    def test_non_object_job_is_400(self, server):
+        status, body, _ = _request(
+            server,
+            "/campaigns",
+            method="POST",
+            data=json.dumps({"jobs": [1]}).encode(),
+        )
+        assert status == 400
+        assert "job #0 must be an object" in body["error"]
+
     def test_bad_workers_param_is_400(self, server):
         status, body, _ = _request(
             server,

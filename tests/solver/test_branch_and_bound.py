@@ -3,10 +3,11 @@
 import pytest
 
 from repro.solver import Model, SolveStatus, quicksum
+from repro.solver.branch_and_bound import solve_milp
 
 
 def solve(model, **kw):
-    return model.solve(backend="simplex", **kw)
+    return solve_milp(model, **kw)
 
 
 class TestPureInteger:
@@ -145,7 +146,7 @@ class TestBinPackingShaped:
         xs = m.add_vars(6, "x", vartype="binary")
         m.add_constraint(quicksum(3 * x for x in xs) <= 7)
         m.set_objective(quicksum((i + 1) * x for i, x in enumerate(xs)))
-        sol = m.solve(backend="simplex", node_limit=1)
+        sol = solve(m, node_limit=1)
         assert sol.status in (SolveStatus.NODE_LIMIT, SolveStatus.OPTIMAL)
 
 
@@ -159,8 +160,8 @@ class TestAgainstScipy:
         m.add_constraint(x + 2 * y + 3 * z <= 12)
         m.add_constraint(x - y >= -3)
         m.set_objective(2 * x + 3 * y + 4 * z)
-        ours = m.solve(backend="simplex")
-        scipy_sol = m.solve(backend="scipy")
+        ours = solve(m)
+        scipy_sol = m.solve()
         assert ours.status is SolveStatus.OPTIMAL
         assert scipy_sol.status is SolveStatus.OPTIMAL
         assert ours.objective == pytest.approx(scipy_sol.objective, abs=1e-6)

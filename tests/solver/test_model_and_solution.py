@@ -3,7 +3,18 @@
 import pytest
 
 from repro.exceptions import ModelError
-from repro.solver import INF, Model, Relation, SolveStatus, quicksum
+from repro.solver import (
+    INF,
+    LinExpr,
+    Model,
+    Relation,
+    SolveStatus,
+    presolve,
+    quicksum,
+    solve_with_presolve,
+)
+from repro.solver import scipy_backend
+from repro.solver.simplex import solve_lp
 from repro.solver.solution import Solution, SolveStats
 
 
@@ -59,7 +70,8 @@ class TestModelConstruction:
         x = m.add_var("x", ub=3)
         m.set_objective(x, sense="max")
         assert m.sense == "max"
-        assert m.solve(backend="simplex").objective == pytest.approx(3.0)
+        assert solve_lp(m).objective == pytest.approx(3.0)
+        assert m.solve().objective == pytest.approx(3.0)
 
     def test_clone_independent(self):
         m = Model(sense="max")
@@ -151,26 +163,76 @@ class TestSolutionHelpers:
 
 
 class TestAutoBackendSelection:
-    def test_small_model_uses_simplex(self):
-        m = Model(sense="max")
-        x = m.add_var("x", ub=1)
-        m.set_objective(x)
-        sol = m.solve(backend="auto")
-        assert sol.stats.backend == "simplex"
+    """``Model.solve`` has one backend, HiGHS, and no switch to pick one."""
 
     def test_large_model_uses_scipy(self):
         m = Model(sense="max")
         xs = m.add_vars(200, "x", ub=1.0)
         m.set_objective(quicksum(xs))
-        sol = m.solve(backend="auto")
+        sol = m.solve()
         assert sol.stats.backend == "scipy"
         assert sol.objective == pytest.approx(200.0)
 
     def test_unknown_backend_rejected(self):
         m = Model()
         m.add_var("x")
-        with pytest.raises(ModelError):
-            m.solve(backend="cplex")
+        # Even the one backend's name is refused: there is no switch.
+        for backend in ("cplex", "scipy", "simplex", "auto"):
+            with pytest.raises(TypeError, match="backend"):
+                m.solve(backend=backend)
+
+
+class TestModelWithoutVariables:
+    """A model with no variables has a constant objective (presolve leaves
+    one whenever it fixes every variable)."""
+
+    def test_constant_objective_is_optimal(self):
+        m = Model(sense="max")
+        m.set_objective(LinExpr({}, 2.5))
+        sol = m.solve()
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == 2.5
+        assert dict(sol.values) == {}
+
+    def test_violated_constant_row_is_infeasible(self):
+        m = Model()
+        m.set_objective(LinExpr({}, 2.0))
+        m.add_constraint(LinExpr({}, 1e-9) == 0.0)  # within tolerance
+        assert m.solve().status is SolveStatus.OPTIMAL
+        m.add_constraint(LinExpr({}, 1.0) <= 0.0)
+        assert m.solve().status is SolveStatus.INFEASIBLE
+
+    def test_presolve_fixing_every_variable(self):
+        m = Model(sense="min")
+        a = m.add_var("a")
+        b = m.add_var("b")
+        m.add_constraint(a == 2)
+        m.add_constraint(b == a + 1)
+        m.set_objective(a + 3 * b + 1)
+        assert presolve(m).reduced.num_variables == 0
+        sol = solve_with_presolve(m)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(12.0)
+        assert sol[a] == pytest.approx(2.0) and sol[b] == pytest.approx(3.0)
+
+
+class TestHighsStatus:
+    def test_other_milp_status_is_an_error(self, monkeypatch):
+        # scipy's milp status 4 ("Other; see message") is a HiGHS failure,
+        # not a node limit; it comes back without a solution vector.
+        def failing_milp(**kwargs):
+            return scipy_backend.optimize.OptimizeResult(
+                status=4, x=None, message="HiGHS error"
+            )
+
+        monkeypatch.setattr(scipy_backend.optimize, "milp", failing_milp)
+        m = Model(sense="max")
+        x = m.add_var("x", ub=3, vartype="integer")
+        y = m.add_var("y", ub=3)
+        m.add_constraint(y == x)
+        m.set_objective(x + y)
+        assert m.solve().status is SolveStatus.ERROR
+        assert solve_with_presolve(m).status is SolveStatus.ERROR
 
 
 class TestUnboundedAndInfinite:
@@ -178,13 +240,13 @@ class TestUnboundedAndInfinite:
         m = Model(sense="min")
         x = m.add_var("x", lb=-INF)
         m.set_objective(x)
-        assert m.solve(backend="simplex").status is SolveStatus.UNBOUNDED
+        assert solve_lp(m).status is SolveStatus.UNBOUNDED
 
     def test_scipy_agrees_on_unbounded(self):
         m = Model(sense="min")
         x = m.add_var("x", lb=-INF)
         m.set_objective(x)
-        assert m.solve(backend="scipy").status is SolveStatus.UNBOUNDED
+        assert m.solve().status is SolveStatus.UNBOUNDED
 
     def test_equality_relation_enum(self):
         m = Model()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.solver import Model, SolveStatus, presolve, quicksum, solve_with_presolve
+from repro.solver.branch_and_bound import solve_milp
+from repro.solver.simplex import solve_lp
 
 
 class TestAliasMerging:
@@ -180,11 +182,16 @@ class TestEndToEndEquivalence:
         m.add_constraint(d == 3)
         m.add_constraint(a + c + d <= 12)
         m.set_objective(a + b + c + d)
-        direct = m.solve(backend="simplex")
-        via_presolve = solve_with_presolve(m, backend="simplex")
+        direct = solve_lp(m)
+        result = presolve(m)
+        via_presolve = result.recover(solve_lp(result.reduced))
         assert direct.objective == pytest.approx(via_presolve.objective)
         # Recovered values satisfy the original model.
         assert m.is_feasible(via_presolve.values)
+        # The production path (HiGHS) agrees with the reference.
+        assert solve_with_presolve(m).objective == pytest.approx(
+            direct.objective
+        )
 
     def test_presolve_reduces_size(self):
         m = Model(sense="max")
@@ -198,3 +205,21 @@ class TestEndToEndEquivalence:
         result = presolve(m)
         assert result.reduced.num_variables == 1
         assert result.reduced.num_constraints == 1
+
+
+class TestRecoverWithoutValues:
+    def test_node_limit_without_incumbent_comes_back_unchanged(self):
+        # y aliases onto x; the reduced model's root relaxation is
+        # fractional, so B&B stops at one node with no incumbent.
+        m = Model(sense="max")
+        x = m.add_var("x", ub=5, vartype="integer")
+        y = m.add_var("y", ub=5)
+        m.add_constraint(y == x)
+        m.add_constraint(2 * x + 2 * y <= 3)
+        m.set_objective(x + y)
+        result = presolve(m)
+        assert result.reduced.num_variables == 1
+        stopped = solve_milp(result.reduced, node_limit=1)
+        assert stopped.status is SolveStatus.NODE_LIMIT
+        assert stopped.objective is None
+        assert result.recover(stopped) is stopped

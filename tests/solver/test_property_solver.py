@@ -1,7 +1,8 @@
 """Property-based tests: the from-scratch solver against SciPy/HiGHS.
 
 These are the substitution-soundness tests promised in DESIGN.md: on random
-LPs and MILPs, the two independently implemented backends must agree on
+LPs and MILPs, HiGHS (``Model.solve``) and the two independently
+implemented references, ``solve_lp`` and ``solve_milp``, must agree on
 status and optimal value.
 """
 
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.solver import Model, SolveStatus, quicksum
+from repro.solver.branch_and_bound import solve_milp
 from repro.solver.presolve import solve_with_presolve
+from repro.solver.simplex import solve_lp
 
 N_VARS = st.integers(min_value=1, max_value=6)
 N_CONS = st.integers(min_value=1, max_value=8)
@@ -56,8 +59,8 @@ class TestSimplexAgainstScipy:
     @given(random_lp())
     def test_same_status_and_objective(self, built):
         model, _ = built
-        ours = model.solve(backend="simplex")
-        scipy_sol = model.solve(backend="scipy")
+        ours = solve_lp(model)
+        scipy_sol = model.solve()
         assert ours.status == scipy_sol.status
         if ours.status is SolveStatus.OPTIMAL:
             assert ours.objective == pytest.approx(
@@ -69,8 +72,8 @@ class TestSimplexAgainstScipy:
     @given(random_lp())
     def test_presolve_preserves_optimum(self, built):
         model, _ = built
-        direct = model.solve(backend="scipy")
-        via = solve_with_presolve(model, backend="scipy")
+        direct = model.solve()
+        via = solve_with_presolve(model)
         assert direct.status == via.status
         if direct.status is SolveStatus.OPTIMAL:
             assert via.objective == pytest.approx(direct.objective, abs=1e-6)
@@ -116,8 +119,8 @@ class TestBranchAndBoundAgainstScipy:
     @settings(max_examples=40, deadline=None)
     @given(random_milp())
     def test_same_milp_objective(self, model):
-        ours = model.solve(backend="simplex")
-        scipy_sol = model.solve(backend="scipy")
+        ours = solve_milp(model)
+        scipy_sol = model.solve()
         assert ours.status == scipy_sol.status
         if ours.status is SolveStatus.OPTIMAL:
             assert ours.objective == pytest.approx(
@@ -128,7 +131,7 @@ class TestBranchAndBoundAgainstScipy:
     @settings(max_examples=25, deadline=None)
     @given(random_milp())
     def test_integrality_of_solution(self, model):
-        sol = model.solve(backend="simplex")
+        sol = solve_milp(model)
         if sol.status is SolveStatus.OPTIMAL:
             for var, value in sol.values.items():
                 if var.vartype.is_integral:
@@ -146,8 +149,9 @@ class TestSolverDeterminism:
                 quicksum(int(c) * x for c, x in zip(coeffs, xs)) <= 10
             )
         m.set_objective(quicksum(xs))
-        first = m.solve(backend="simplex")
-        second = m.solve(backend="simplex")
-        assert first.objective == second.objective
-        for x in xs:
-            assert first[x] == second[x]
+        for solve in (solve_lp, Model.solve):
+            first = solve(m)
+            second = solve(m)
+            assert first.objective == second.objective
+            for x in xs:
+                assert first[x] == second[x]

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.solver import INF, Model, SolveStatus, quicksum
+from repro.solver.simplex import solve_lp
 
 
 def solve(model):
-    solution = model.solve(backend="simplex")
-    return solution
+    return solve_lp(model)
 
 
 class TestBasicLPs:

@@ -31,7 +31,7 @@ def reference_solve(d, w):
     model.add_constraint(quicksum(xs[3:]) <= 2.5)
     model.add_constraint(xs[0] + xs[3] <= 1.2)
     model.set_objective(quicksum(float(wi) * x for wi, x in zip(w, xs)))
-    return model.solve(backend="scipy")
+    return model.solve()
 
 
 class TestLpTemplate:
