@@ -218,15 +218,14 @@ class AnalyzedProblem:
             self._oracle = OracleEngine(self)
         return self._oracle
 
-    def configure_oracle(self, **kwargs):
-        """Replace the oracle engine (e.g. to disable or retune the cache).
+    def configure_oracle(self, cache: bool = True):
+        """Replace the oracle engine, with or without its memo cache.
 
-        Keyword arguments are passed to
-        :class:`repro.oracle.engine.OracleEngine`; returns the new engine.
+        Returns the new :class:`repro.oracle.engine.OracleEngine`.
         """
         from repro.oracle.engine import OracleEngine
 
-        self._oracle = OracleEngine(self, **kwargs)
+        self._oracle = OracleEngine(self, cache=cache)
         return self._oracle
 
     def gap(self, x: np.ndarray) -> float:

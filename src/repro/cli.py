@@ -55,6 +55,32 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_serve_options(parser: argparse.ArgumentParser, store_help: str) -> None:
+    """The options ``repro serve`` and ``repro fabric serve`` share."""
+    parser.add_argument("--store", required=True, help=store_help)
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        help="listen port (default 8347; 0 picks an ephemeral port)",
+    )
+    parser.add_argument(
+        "--retention",
+        type=int,
+        default=0,
+        help="gc the store down to this many campaigns after each run "
+        "(0 keeps everything)",
+    )
+    parser.add_argument(
+        "--log-level",
+        default="warning",
+        choices=("debug", "info", "warning", "error"),
+        help="service logging threshold (requests log at info)",
+    )
+    _add_workers(parser)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     from repro.search.policy import SEARCH_POLICIES
 
@@ -227,32 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the analysis service (JSON HTTP API over a run store)",
     )
-    serve.add_argument(
-        "--store",
-        required=True,
-        help="persistent run store directory backing the service",
+    _add_serve_options(
+        serve, "persistent run store directory backing the service"
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="listen port (default 8347; 0 picks an ephemeral port)",
-    )
-    serve.add_argument(
-        "--retention",
-        type=int,
-        default=0,
-        help="gc the store down to this many campaigns after each run "
-        "(0 keeps everything)",
-    )
-    serve.add_argument(
-        "--log-level",
-        default="warning",
-        choices=("debug", "info", "warning", "error"),
-        help="service logging threshold (requests log at info)",
-    )
-    _add_workers(serve)
 
     fabric = sub.add_parser(
         "fabric",
@@ -265,25 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the analysis service on a lease-queue worker fleet "
         "(heartbeats, retry/backoff, quarantine)",
     )
-    fabric_serve.add_argument(
-        "--store",
-        required=True,
-        help="persistent run store directory backing the service "
+    _add_serve_options(
+        fabric_serve,
+        "persistent run store directory backing the service "
         "(the fabric queue lives in its fabric/ subdirectory)",
-    )
-    fabric_serve.add_argument("--host", default="127.0.0.1")
-    fabric_serve.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="listen port (default 8347; 0 picks an ephemeral port)",
-    )
-    fabric_serve.add_argument(
-        "--retention",
-        type=int,
-        default=0,
-        help="gc the store down to this many campaigns after each run "
-        "(0 keeps everything)",
     )
     fabric_serve.add_argument(
         "--max-pending",
@@ -299,13 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="work-unit lease duration; a dead worker's unit is "
         "requeued within roughly this long",
     )
-    fabric_serve.add_argument(
-        "--log-level",
-        default="warning",
-        choices=("debug", "info", "warning", "error"),
-        help="service logging threshold (requests log at info)",
-    )
-    _add_workers(fabric_serve)
     fabric_status = fabric_sub.add_parser(
         "status",
         help="print a store's fabric queue/fleet status as JSON",

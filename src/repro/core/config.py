@@ -16,6 +16,20 @@ BLACKBOX_STRATEGIES = ("random", "hillclimb", "anneal")
 # SEARCH_POLICIES is defined next to the policies themselves
 # (repro.search.policy) and re-exported here for config consumers.
 
+#: integer knobs and their least legal value
+_INT_KNOBS = (
+    ("blackbox_budget", 1),
+    ("explainer_samples", 1),
+    ("generalizer_samples", 0),
+    ("search_budget", 1),
+    ("search_rounds", 1),
+)
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass
 class XPlainConfig:
@@ -39,17 +53,6 @@ class XPlainConfig:
     explainer_cutoff: float = 0.2
     #: §5.4 within-instance generalization samples (0 disables)
     generalizer_samples: int = 200
-    #: persistent run-store directory (None disables persistence). When
-    #: set, the pipeline spills its gap-oracle memo cache into the store
-    #: so repeated analyses of the same problem skip re-solving points
-    #: they have already answered — across processes and campaigns.
-    store_path: str | None = None
-    #: completed campaigns to retain in the store on garbage collection
-    #: (0 = keep everything; ``repro runs gc`` and the analysis service
-    #: apply it)
-    store_retention: int = 0
-    #: LRU cap on the in-memory gap-cache entries per engine
-    cache_max_entries: int = 1_000_000
     #: gap-search policy (DESIGN.md §12): "uniform" is the exact legacy
     #: sampling behavior; "bandit" hunts high-gap regions with a UCB
     #: cell-tree engine under a hard oracle budget; "hybrid" mixes both
@@ -73,38 +76,20 @@ class XPlainConfig:
                 f"unknown blackbox strategy {self.blackbox_strategy!r}; "
                 f"expected one of {BLACKBOX_STRATEGIES}"
             )
-        if self.store_path is not None and not isinstance(self.store_path, str):
-            raise AnalyzerError(
-                f"store_path must be a string path or None, "
-                f"got {self.store_path!r}"
-            )
-        if self.store_path is not None and not self.store_path.strip():
-            raise AnalyzerError("store_path must not be an empty string")
-        if not isinstance(self.store_retention, int) or self.store_retention < 0:
-            raise AnalyzerError(
-                f"store_retention must be an integer >= 0 "
-                f"(0 keeps everything), got {self.store_retention!r}"
-            )
-        if (
-            not isinstance(self.cache_max_entries, int)
-            or self.cache_max_entries < 1
-        ):
-            raise AnalyzerError(
-                f"cache_max_entries must be an integer >= 1, "
-                f"got {self.cache_max_entries!r}"
-            )
         if self.search not in SEARCH_POLICIES:
             raise AnalyzerError(
                 f"unknown search policy {self.search!r}; "
                 f"expected one of {SEARCH_POLICIES}"
             )
-        if not isinstance(self.search_budget, int) or self.search_budget < 1:
+        for name, low in _INT_KNOBS:
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise AnalyzerError(
+                    f"{name} must be an integer >= {low}, got {value!r}"
+                )
+        cutoff = self.explainer_cutoff
+        is_real = _is_int(cutoff) or isinstance(cutoff, float)
+        if not (is_real and 0.0 <= cutoff <= 1.0):
             raise AnalyzerError(
-                f"search_budget must be an integer >= 1, "
-                f"got {self.search_budget!r}"
-            )
-        if not isinstance(self.search_rounds, int) or self.search_rounds < 1:
-            raise AnalyzerError(
-                f"search_rounds must be an integer >= 1, "
-                f"got {self.search_rounds!r}"
+                f"explainer_cutoff must be a number in [0, 1], got {cutoff!r}"
             )

@@ -104,83 +104,50 @@ class XPlain:
         """
         config = self.config
         start = time.perf_counter()
-        engine = self.problem.oracle
-        spill = None
-        try:
-            # Persistent memoization: with a store configured, the
-            # engine's cache spills through the store's gap_entries
-            # table, so points this problem has ever answered (any
-            # process, any campaign) are never re-solved. Entries are
-            # oracle values — attaching a spill cannot change any
-            # result. Problems without a picklable spec have no sound
-            # cross-run identity and run without persistence. Preload
-            # happens *before* the spill attaches, so cap-evicted
-            # entries are not pointlessly re-offered to disk. A spill
-            # the caller attached themselves always wins: the pipeline
-            # neither replaces nor detaches it.
-            engine.configure_cache(max_entries=config.cache_max_entries)
-            if (
-                config.store_path is not None
-                and engine.cache is not None
-                and engine.cache.spill is None
-            ):
-                from repro.store import GapSpill, problem_cache_key
+        # Type 1: adversarial subspaces (§5.2), spent through the
+        # run's search policy (uniform = the exact legacy streams).
+        policy = self.make_policy()
+        generator = AdversarialSubspaceGenerator(
+            self.problem,
+            self.make_analyzer(policy=policy),
+            config.generator,
+            policy=policy,
+        )
+        with _span("stage.generate"):
+            generator_report = generator.run()
 
-                cache_key = problem_cache_key(
-                    self.problem, engine.cache.resolution
+        # Type 2: explain each significant subspace (§5.3). Each
+        # subspace owns a derived random stream (shard→seed), so the
+        # explanations are order-free and independently schedulable.
+        with _span(
+            "stage.explain", subspaces=len(generator_report.subspaces)
+        ):
+            explained = [
+                self._explain(
+                    subspace,
+                    np.random.default_rng(
+                        derive_seed(config.seed, STAGE_EXPLAIN, i)
+                    ),
                 )
-                if cache_key is not None:
-                    spill = GapSpill(config.store_path, cache_key)
-                    spill.preload(engine.cache)
-                    engine.configure_cache(spill=spill)
-            # Type 1: adversarial subspaces (§5.2), spent through the
-            # run's search policy (uniform = the exact legacy streams).
-            policy = self.make_policy()
-            generator = AdversarialSubspaceGenerator(
-                self.problem,
-                self.make_analyzer(policy=policy),
-                config.generator,
-                policy=policy,
-            )
-            with _span("stage.generate"):
-                generator_report = generator.run()
+                for i, subspace in enumerate(generator_report.subspaces)
+            ]
 
-            # Type 2: explain each significant subspace (§5.3). Each
-            # subspace owns a derived random stream (shard→seed), so the
-            # explanations are order-free and independently schedulable.
-            with _span(
-                "stage.explain", subspaces=len(generator_report.subspaces)
-            ):
-                explained = [
-                    self._explain(
-                        subspace,
-                        np.random.default_rng(
-                            derive_seed(config.seed, STAGE_EXPLAIN, i)
-                        ),
-                    )
-                    for i, subspace in enumerate(generator_report.subspaces)
-                ]
-
-            # Type 3: within-instance generalization (§5.4). Cross-instance
-            # generalization needs an instance generator and is driven
-            # explicitly (see repro.generalize.observe_across_instances).
-            generalization = None
-            if config.generalizer_samples > 0 and self.problem.features:
-                with _span("stage.generalize"):
-                    observations = observe_within_instance(
-                        self.problem,
-                        config.generalizer_samples,
-                        np.random.default_rng(
-                            derive_seed(config.seed, STAGE_GENERALIZE, 0)
-                        ),
-                    )
-                    generalization = EnumerativeGeneralizer().search(
-                        observations
-                    )
-        finally:
-            if spill is not None:
-                engine.configure_cache(spill=None)
-                spill.close()
+        # Type 3: within-instance generalization (§5.4). Cross-instance
+        # generalization needs an instance generator and is driven
+        # explicitly (see repro.generalize.observe_across_instances).
+        generalization = None
+        if config.generalizer_samples > 0 and self.problem.features:
+            with _span("stage.generalize"):
+                observations = observe_within_instance(
+                    self.problem,
+                    config.generalizer_samples,
+                    np.random.default_rng(
+                        derive_seed(config.seed, STAGE_GENERALIZE, 0)
+                    ),
+                )
+                generalization = EnumerativeGeneralizer().search(
+                    observations
+                )
 
         return XPlainReport(
             problem=self.problem,

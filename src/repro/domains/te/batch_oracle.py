@@ -49,7 +49,8 @@ class TeBatchOracle:
         self._opt_template: LpTemplate | None = None
         self._dp_template: LpTemplate | None = None
         #: points that had to re-route through the scalar reference path
-        #: because a template solve did not come back optimal
+        #: because a template solve did not come back optimal (reported
+        #: as ``OracleStats.scalar_fallback``)
         self.fallback_points = 0
 
     # ------------------------------------------------------------------
@@ -159,8 +160,8 @@ class TeBatchOracle:
 
     # ------------------------------------------------------------------
     def solver_counters(self) -> dict[str, float]:
-        """Aggregated template counters for :class:`OracleStats`."""
-        totals: dict[str, float] = {}
+        """Template and scalar-fallback counters for :class:`OracleStats`."""
+        totals: dict[str, float] = {"scalar_fallback": self.fallback_points}
         for template in (self._opt_template, self._dp_template):
             if template is None:
                 continue

@@ -5,7 +5,8 @@ actual benchmark/heuristic computation:
 
 * :mod:`repro.oracle.engine` — the per-problem front-end (batch dispatch,
   scalar fallback, cache consultation, counters);
-* :mod:`repro.oracle.cache` — quantized-key gap memoization;
+* :mod:`repro.oracle.cache` — in-memory, quantized-key gap memoization
+  (the only oracle cache);
 * :mod:`repro.oracle.stats` — the :class:`OracleStats` counter block
   surfaced on generator reports and in the CLI.
 

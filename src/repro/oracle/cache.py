@@ -8,56 +8,36 @@ cache keys each input vector by quantizing every coordinate to a fixed
 grid; two queries that land on the same grid cell share one oracle
 evaluation.
 
-The default resolution is *fine* (1e-9 of each input-domain side), so in
+The resolution is *fine* (1e-9 of each input-domain side), so in
 practice only genuinely repeated points collide and cached runs are
 indistinguishable from uncached ones — tests pin this down by comparing
-seeded generator output with the cache on and off. Coarser resolutions
-trade exactness for hit rate and can be selected per engine via
-``AnalyzedProblem.configure_oracle(resolution=...)``.
+seeded generator output with the cache on and off.
 
-Growth is bounded by an LRU policy: the cache keeps at most
-``max_entries`` cells and evicts the least-recently-used one on insert,
-so a long-running analysis service cannot leak memory through its
-engines. An optional *spill* second level (see
-:class:`repro.store.gapstore.GapSpill`) receives every inserted entry and
-is consulted on in-memory misses, which is how oracle memoization
-survives across processes and campaigns. Cached entries are values of the
-oracle function itself, so neither eviction nor spilling can change any
-result — only how often points are recomputed.
+The cache lives in memory only, one per engine, and its growth is
+bounded by an LRU policy: it keeps at most ``DEFAULT_MAX_ENTRIES``
+cells and evicts the least-recently-used one on insert, so a
+long-running analysis service cannot leak memory through its engines.
+Cached entries are values of the oracle function itself, so eviction
+cannot change any result — only how often points are recomputed.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
 from repro.subspace.region import Box
 
-#: Default grid size as a fraction of each input-domain side: fine enough
-#: that distinct sample points essentially never collide.
+#: Grid size as a fraction of each input-domain side: fine enough that
+#: distinct sample points essentially never collide.
 DEFAULT_RESOLUTION = 1e-9
 
-#: Default in-memory entry cap (LRU beyond this).
+#: In-memory entry cap (LRU beyond this).
 DEFAULT_MAX_ENTRIES = 1_000_000
 
 #: one cached oracle answer: (benchmark, heuristic, feasible)
 Entry = tuple[float, float, bool]
-
-
-class SpillStore(Protocol):
-    """Second-level store a :class:`GapCache` spills through.
-
-    ``get`` may return ``None``; ``put`` must be idempotent (the cache
-    write-throughs every insert *and* re-offers entries on eviction).
-    """
-
-    def get(self, key: tuple) -> Entry | None: ...
-
-    def put(
-        self, key: tuple, benchmark: float, heuristic: float, feasible: bool
-    ) -> None: ...
 
 
 class GapCache:
@@ -68,7 +48,6 @@ class GapCache:
         input_box: Box,
         resolution: float = DEFAULT_RESOLUTION,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        spill: SpillStore | None = None,
     ) -> None:
         if resolution <= 0:
             raise ValueError(f"resolution must be positive, got {resolution}")
@@ -76,13 +55,8 @@ class GapCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         widths = np.maximum(input_box.widths, 1e-12)
         self._quantum = widths * resolution
-        self.resolution = resolution
         self.max_entries = max_entries
-        self.spill = spill
         self._entries: OrderedDict[tuple, Entry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.spill_hits = 0
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -97,56 +71,13 @@ class GapCache:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-        if self.spill is not None:
-            entry = self.spill.get(key)
-            if entry is not None:
-                # Promote: a spilled answer is as good as a resident one.
-                self.hits += 1
-                self.spill_hits += 1
-                self._insert(key, entry)
-                return entry
-        self.misses += 1
-        return None
+        return entry
 
     def put(
         self, key: tuple, benchmark: float, heuristic: float, feasible: bool
     ) -> None:
-        entry = (benchmark, heuristic, feasible)
-        self._insert(key, entry)
-        if self.spill is not None:
-            self.spill.put(key, benchmark, heuristic, feasible)
-
-    def _insert(self, key: tuple, entry: Entry) -> None:
-        self._entries[key] = entry
+        self._entries[key] = (benchmark, heuristic, feasible)
         self._entries.move_to_end(key)
-        self.enforce_limit()
-
-    def enforce_limit(self) -> None:
-        """Evict LRU entries until at most ``max_entries`` remain."""
         while len(self._entries) > self.max_entries:
-            old_key, old_entry = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            if self.spill is not None:
-                self.spill.put(old_key, *old_entry)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    # -- serialization ------------------------------------------------------
-    def entries(self) -> Iterator[tuple[tuple, Entry]]:
-        """All resident cells, least-recently-used first."""
-        return iter(self._entries.items())
-
-    def load_entries(self, items: Iterable[tuple[tuple, Entry]]) -> None:
-        """Bulk-insert previously dumped cells (no spill write-through).
-
-        Used by the store layer to warm a cache from disk; entries beyond
-        ``max_entries`` evict LRU as usual.
-        """
-        for key, entry in items:
-            self._insert(
-                tuple(key),
-                (float(entry[0]), float(entry[1]), bool(entry[2])),
-            )

@@ -6,7 +6,8 @@ through one :class:`OracleEngine` per problem (see
 ``AnalyzedProblem.oracle``). The engine:
 
 * answers repeated points from a quantized-key :class:`~repro.oracle.
-  cache.GapCache`;
+  cache.GapCache`, held in memory for the engine's lifetime (the only
+  oracle cache; ``cache=False`` turns it off);
 * forwards the remaining points, as one batch, to the problem's *native
   batched* oracle (``AnalyzedProblem.evaluate_batch``, e.g. the TE
   LP-template oracle or the vectorized binpack first-fit) when one
@@ -29,35 +30,17 @@ import numpy as np
 from repro.analyzer.interface import AnalyzedProblem, GapSample, GapSamples
 from repro.obs import runtime as _obs
 from repro.obs.tracing import span as _span
-from repro.oracle.cache import DEFAULT_RESOLUTION, GapCache
+from repro.oracle.cache import GapCache
 from repro.oracle.stats import OracleStats
 from repro.parallel import work as _work
-
-#: distinguishes "spill not passed" from an explicit ``spill=None`` detach
-_UNSET = object()
 
 
 class OracleEngine:
     """Caching, batching front-end for one problem's gap oracle."""
 
-    def __init__(
-        self,
-        problem: AnalyzedProblem,
-        cache: bool | GapCache | None = True,
-        resolution: float = DEFAULT_RESOLUTION,
-        max_entries: int | None = None,
-        spill=None,
-    ) -> None:
+    def __init__(self, problem: AnalyzedProblem, cache: bool = True) -> None:
         self.problem = problem
-        if cache is True:
-            kwargs = {} if max_entries is None else {"max_entries": max_entries}
-            self.cache: GapCache | None = GapCache(
-                problem.input_box, resolution=resolution, spill=spill, **kwargs
-            )
-        elif cache is False or cache is None:
-            self.cache = None
-        else:
-            self.cache = cache
+        self.cache = GapCache(problem.input_box) if cache else None
         self.stats = OracleStats()
 
     # ------------------------------------------------------------------
@@ -127,30 +110,6 @@ class OracleEngine:
                 help="oracle engine wall-clock per evaluate_many batch",
             )
         return GapSamples(xs, benchmark, heuristic, feasible)
-
-    # ------------------------------------------------------------------
-    def configure_cache(
-        self, max_entries: int | None = None, spill=_UNSET
-    ) -> None:
-        """Retune the live cache (LRU cap, spill store) without clearing it.
-
-        No-op when the cache is disabled. Cached values are oracle values,
-        so retuning mid-run cannot change any result — only recompute
-        rates. ``spill`` is only touched when passed explicitly — pass
-        ``spill=None`` to detach an attached store, omit it to leave the
-        current one (e.g. one given at construction) alone.
-        """
-        if self.cache is None:
-            return
-        if max_entries is not None:
-            if max_entries < 1:
-                raise RuntimeError(
-                    f"cache max_entries must be >= 1, got {max_entries}"
-                )
-            self.cache.max_entries = max_entries
-        if spill is not _UNSET:
-            self.cache.spill = spill
-        self.cache.enforce_limit()
 
     # ------------------------------------------------------------------
     def _dispatch(self, xs: np.ndarray) -> GapSamples:

@@ -25,7 +25,10 @@ class OracleStats:
     cache_misses: int = 0
     #: evaluated points served by a native batched oracle
     native_batched: int = 0
-    #: evaluated points served by the scalar python-loop fallback
+    #: evaluated points served by the scalar python-loop fallback; a
+    #: native batched oracle also adds the points it re-routed to its
+    #: scalar reference (TE: slab solves that did not come back optimal),
+    #: and those points are counted in ``native_batched`` as well
     scalar_fallback: int = 0
     #: points charged to the run's shared search budget ledger
     #: (:mod:`repro.search.budget`) — comparable across the black-box

@@ -160,9 +160,9 @@ def _is_int(value) -> bool:
 def _config_block(value, where: str) -> dict:
     """A copy of a config override object, checked for shape only.
 
-    Its values are checked when the job runs; only the nested
-    ``generator`` block must already be an object, because
-    :func:`plan_campaign` merges it key-wise.
+    Its values are checked when :func:`plan_campaign` builds the merged
+    config; only the nested ``generator`` block must already be an
+    object, because the merge is key-wise.
     """
     if not isinstance(value, dict):
         raise AnalyzerError(f"{where} must be an object, got {value!r}")
@@ -299,12 +299,6 @@ def execute_job(job_payload: dict) -> dict:
     seed = int(job_payload["seed"])
     config.seed = seed
     config.generator.seed = seed
-    # Unit reports must be a pure function of the unit payload (that is
-    # what content-addressed run IDs and bit-identical resume rest on),
-    # but a spilled gap cache makes the report's hit/miss counters
-    # depend on what the store already holds — so persistence inside
-    # campaign units is off; the campaign-level store is the driver's.
-    config.store_path = None
     # Span tracing rides the XPLAIN_OBS environment (or an installed
     # registry), never the payload — content-addressed run IDs must not
     # change when observability toggles. The unit gets its own tracer;
@@ -400,6 +394,9 @@ def plan_campaign(spec: CampaignSpec) -> list[dict]:
 
     Pure in the spec: the plan never depends on workers, stores, or any
     other environment, which is what lets run IDs content-address it.
+    Each merged config is built once and dropped, so an unknown or
+    out-of-range knob raises :class:`AnalyzerError` here, before a
+    store registers the campaign.
     """
     payloads = []
     for index, job in enumerate(spec.jobs):
@@ -416,6 +413,7 @@ def plan_campaign(spec: CampaignSpec) -> list[dict]:
         merged.update(job_config)
         if merged_generator:
             merged["generator"] = merged_generator
+        _build_job_config(merged)
         payload["config"] = merged
         if payload["seed"] is None:
             payload["seed"] = derive_seed(spec.seed, STAGE_CAMPAIGN, index)

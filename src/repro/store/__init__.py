@@ -7,22 +7,16 @@ of vanishing with each process (DESIGN.md §10).
 * :class:`~repro.store.runstore.RunStore` — SQLite-backed campaign/run
   storage with crash-safe resume and typed round-trips of
   ``OracleStats``, generator regions, and explanation reports;
-* :class:`~repro.store.gapstore.GapSpill` — the on-disk second level of
-  the gap-oracle memo cache, so memoization survives across processes
-  and campaigns;
 * :mod:`~repro.store.ids` — the content-addressing scheme (``run-…``,
   ``camp-…`` IDs) everything is keyed by.
 """
 
-from repro.store.gapstore import GapSpill, problem_cache_key
 from repro.store.ids import campaign_id_for, canonical_json, run_id_for
 from repro.store.runstore import RunStore
 
 __all__ = [
-    "GapSpill",
     "RunStore",
     "campaign_id_for",
     "canonical_json",
-    "problem_cache_key",
     "run_id_for",
 ]

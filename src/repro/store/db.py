@@ -1,10 +1,10 @@
-"""SQLite plumbing shared by the run store and the gap spill store.
+"""SQLite plumbing shared by the run store and the fabric queue.
 
 One database file (``xplain.sqlite`` inside the store directory) holds
-every table. WAL journaling plus a busy timeout make the single file safe
-for the access pattern the system actually has — the service's worker
-thread writing runs, HTTP reader threads, and campaign worker processes
-spilling gap-cache entries — without a server process.
+every run-store table. WAL journaling plus a busy timeout make the
+single file safe for the access pattern the system actually has — the
+service's worker thread writing runs and HTTP reader threads reading
+them — without a server process.
 """
 
 from __future__ import annotations
@@ -53,14 +53,6 @@ CREATE TABLE IF NOT EXISTS campaign_runs (
 );
 CREATE INDEX IF NOT EXISTS idx_campaign_runs_run
     ON campaign_runs (run_id);
-CREATE TABLE IF NOT EXISTS gap_entries (
-    problem_key TEXT NOT NULL,
-    cell TEXT NOT NULL,
-    benchmark REAL NOT NULL,
-    heuristic REAL NOT NULL,
-    feasible INTEGER NOT NULL,
-    PRIMARY KEY (problem_key, cell)
-);
 """
 
 

@@ -7,9 +7,8 @@ campaigns that contain the same unit therefore share one stored run —
 that is the store's dedupe — and resubmitting a spec reuses completed
 work instead of re-solving it.
 
-Environmental knobs that cannot change a unit's output (where the store
-lives, in-memory cache caps) are stripped before hashing, so moving a
-store or retuning a cache never orphans completed runs.
+Every config key a payload carries is hashed: job configs accept only
+``XPlainConfig`` fields, and each of them can change a unit's output.
 """
 
 from __future__ import annotations
@@ -22,12 +21,6 @@ import json
 #: being replayed with missing/renamed fields
 #: (2: reports gained the "search" block + oracle_calls counter)
 REPORT_SCHEMA_VERSION = 2
-
-#: config keys that cannot affect a unit's deterministic output:
-#: store_path is forced to None inside campaign units (execute_job), and
-#: store_retention only drives gc. cache_max_entries stays semantic —
-#: LRU eviction changes the report's hit/miss counters.
-_NON_SEMANTIC_CONFIG = ("store_path", "store_retention")
 
 
 def canonical_json(data) -> str:
@@ -42,16 +35,11 @@ def content_digest(prefix: str, data) -> str:
 
 def semantic_unit_payload(payload: dict) -> dict:
     """A unit payload reduced to its output-determining fields."""
-    config = {
-        k: v
-        for k, v in payload.get("config", {}).items()
-        if k not in _NON_SEMANTIC_CONFIG
-    }
     return {
         "schema": REPORT_SCHEMA_VERSION,
         "name": payload["name"],
         "problem": payload["problem"],
-        "config": config,
+        "config": payload.get("config", {}),
         "seed": payload["seed"],
     }
 

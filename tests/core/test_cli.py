@@ -151,6 +151,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
 
+    @pytest.mark.parametrize("command", [["serve"], ["fabric", "serve"]])
+    def test_serve_commands_share_options(self, command):
+        args = build_parser().parse_args(
+            command
+            + ["--store", "s", "--host", "0.0.0.0", "--port", "0"]
+            + ["--retention", "3", "--log-level", "info", "--workers", "2"]
+        )
+        assert (args.store, args.host, args.port) == ("s", "0.0.0.0", 0)
+        assert (args.retention, args.log_level, args.workers) == (3, "info", 2)
+
     def test_runs_subcommands(self):
         args = build_parser().parse_args(["runs", "list", "--store", "s"])
         assert (args.runs_command, args.store) == ("list", "s")

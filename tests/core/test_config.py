@@ -27,54 +27,65 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "knob, value",
-        [("workers", 1), ("unit_points", 1), ("backend", "scipy")],
-        ids=["workers", "unit_points", "backend"],
+        [
+            ("workers", 1),
+            ("unit_points", 1),
+            ("backend", "scipy"),
+            ("store_path", "/tmp/store"),
+            ("store_retention", 3),
+            ("cache_max_entries", 64),
+        ],
+        ids=[
+            "workers",
+            "unit_points",
+            "backend",
+            "store_path",
+            "store_retention",
+            "cache_max_entries",
+        ],
     )
     def test_removed_parallel_knobs_fail_loudly(self, knob, value):
         # Even a value the old fields accepted is refused. (``backend``
-        # went with the solver switch: every solve runs on HiGHS.)
+        # went with the solver switch: every solve runs on HiGHS; the
+        # store knobs went with the on-disk gap cache.)
         with pytest.raises(TypeError, match=knob):
             XPlainConfig(**{knob: value})
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("explainer_samples", "x"),
+            ("explainer_samples", 0),
+            ("explainer_samples", True),
+            ("explainer_samples", 2.0),
+            ("generalizer_samples", -3),
+            ("blackbox_budget", -1),
+            ("blackbox_budget", 0),
+            ("explainer_cutoff", "high"),
+            ("explainer_cutoff", -0.1),
+            ("explainer_cutoff", 1.5),
+            ("explainer_cutoff", float("nan")),
+            ("explainer_cutoff", float("inf")),
+            ("explainer_cutoff", True),
+        ],
+    )
+    def test_bad_counts_and_cutoff(self, knob, value):
+        with pytest.raises(AnalyzerError, match=knob):
+            XPlainConfig(**{knob: value})
+
+    def test_edge_values_accepted(self):
+        config = XPlainConfig(
+            explainer_samples=1,
+            generalizer_samples=0,
+            blackbox_budget=1,
+            explainer_cutoff=1,
+        )
+        assert config.explainer_cutoff == 1
+        assert XPlainConfig(explainer_cutoff=0.0).explainer_cutoff == 0.0
 
     def test_error_message_lists_choices(self):
         with pytest.raises(AnalyzerError, match="metaopt"):
             XPlainConfig(analyzer="bogus")
-
-
-class TestStoreKnobs:
-    def test_defaults(self):
-        config = XPlainConfig()
-        assert config.store_path is None
-        assert config.store_retention == 0
-        assert config.cache_max_entries == 1_000_000
-
-    def test_store_path_must_be_string_or_none(self):
-        with pytest.raises(AnalyzerError, match="store_path"):
-            XPlainConfig(store_path=7)
-
-    def test_store_path_must_not_be_blank(self):
-        with pytest.raises(AnalyzerError, match="store_path"):
-            XPlainConfig(store_path="   ")
-
-    def test_store_retention_must_be_nonnegative_int(self):
-        with pytest.raises(AnalyzerError, match="store_retention"):
-            XPlainConfig(store_retention=-1)
-        with pytest.raises(AnalyzerError, match="store_retention"):
-            XPlainConfig(store_retention=2.5)
-
-    def test_cache_max_entries_must_be_positive_int(self):
-        with pytest.raises(AnalyzerError, match="cache_max_entries"):
-            XPlainConfig(cache_max_entries=0)
-        with pytest.raises(AnalyzerError, match="cache_max_entries"):
-            XPlainConfig(cache_max_entries="lots")
-
-    def test_valid_store_config_accepted(self):
-        config = XPlainConfig(
-            store_path="/tmp/store", store_retention=3, cache_max_entries=64
-        )
-        assert config.store_path == "/tmp/store"
-        assert config.store_retention == 3
-        assert config.cache_max_entries == 64
 
 
 class TestSearchKnobs:

@@ -109,6 +109,40 @@ class TestPerBatchReset:
             assert getattr(first_cost, counter) == getattr(again_cost, counter)
 
 
+class TestTeSlabFallback:
+    def test_unsolved_slab_point_is_answered_by_scalar_and_counted(
+        self, monkeypatch
+    ):
+        """A point the OPT slab does not solve re-routes through the
+        scalar reference and shows up as ``scalar_fallback``."""
+        demand_set = build_demand_set(
+            fig1a_topology(), fig1a_demand_pairs(), num_paths=2
+        )
+        problem = demand_pinning_problem(demand_set, threshold=50.0, d_max=100.0)
+        oracle = problem.evaluate_batch
+        xs = np.random.default_rng(17).uniform(0.0, 100.0, size=(6, problem.dim))
+        oracle(xs[:1])  # builds the templates
+        template = oracle._opt_template
+        solve_slab = template.solve_slab
+
+        def one_not_ok(*args, **kwargs):
+            result = solve_slab(*args, **kwargs)
+            result.ok[2] = False
+            return result
+
+        monkeypatch.setattr(template, "solve_slab", one_not_ok)
+        engine = problem.configure_oracle(cache=False)
+        before = engine.stats_snapshot()
+        batch = problem.evaluate_many(xs)
+        delta = engine.stats_snapshot() - before
+        assert delta.scalar_fallback == 1
+        assert delta.native_batched == len(xs)  # counted in both
+        reference = problem.evaluate(xs[2])
+        assert batch.benchmark_values[2] == reference.benchmark_value
+        assert batch.heuristic_values[2] == reference.heuristic_value
+        assert batch.heuristic_feasible[2] == reference.heuristic_feasible
+
+
 class TestGapSamples:
     def test_roundtrip(self):
         samples = [
@@ -189,6 +223,16 @@ class TestCacheEquivalence:
         engine.evaluate_many(points)
         assert engine.stats.cache_hits == 0
         assert engine.stats.scalar_fallback == 8
+
+    @pytest.mark.parametrize("knob", ["spill", "resolution", "max_entries"])
+    def test_removed_cache_knobs_fail_loudly(self, knob):
+        # The in-memory cache is the only one; its resolution and cap
+        # are constants, so the engine takes the on/off switch alone.
+        problem = make_band_problem()
+        with pytest.raises(TypeError, match=knob):
+            OracleEngine(problem, **{knob: None})
+        with pytest.raises(TypeError, match=knob):
+            problem.configure_oracle(**{knob: None})
 
     def test_cache_key_quantization(self):
         box = Box.from_arrays(np.zeros(2), np.ones(2))

@@ -14,6 +14,7 @@ from repro.parallel.campaign import (
     plan_campaign,
     run_campaign,
 )
+from repro.store import RunStore
 from repro.store.ids import campaign_id_for
 
 try:  # stdlib on 3.11+, tomli backport on 3.10 (requirements-dev.txt)
@@ -160,9 +161,20 @@ class TestSpecParsing:
             ({"generator": {"max_subspace": 1}}, "max_subspace"),
             # the solver switch is gone: every solve runs on HiGHS
             ({"backend": "scipy"}, "backend"),
+            # the on-disk gap cache is gone with its knobs
+            ({"store_path": "/tmp/store"}, "store_path"),
+            ({"store_retention": 3}, "store_retention"),
+            ({"cache_max_entries": 64}, "cache_max_entries"),
+            # counts and the cutoff are checked for type and range
+            ({"explainer_samples": "x"}, "explainer_samples"),
+            ({"explainer_samples": True}, "explainer_samples"),
+            ({"generalizer_samples": -3}, "generalizer_samples"),
+            ({"blackbox_budget": -1}, "blackbox_budget"),
+            ({"explainer_cutoff": "high"}, "explainer_cutoff"),
+            ({"explainer_cutoff": 1.5}, "explainer_cutoff"),
         ],
     )
-    def test_bad_config_values_fail_at_run(self, config, match):
+    def test_bad_config_values_fail_at_run(self, config, match, tmp_path):
         spec = CampaignSpec.from_dict(
             {
                 "jobs": [
@@ -176,8 +188,14 @@ class TestSpecParsing:
                 ]
             }
         )
+        # Planning builds every job's config, so the spec fails before a
+        # store registers anything.
         with pytest.raises(AnalyzerError, match=match):
-            run_campaign(spec, workers=1)
+            plan_campaign(spec)
+        store = RunStore(tmp_path / "store")
+        with pytest.raises(AnalyzerError, match=match):
+            run_campaign(spec, workers=1, store=store)
+        assert store.list_campaigns() == []
 
     def test_spec_round_trips_through_to_dict(self):
         spec = CampaignSpec.from_dict(SPEC_DATA)

@@ -6,6 +6,7 @@ its completed units from the store instead of re-solving them.
 """
 
 import json
+import sqlite3
 
 import pytest
 
@@ -136,30 +137,6 @@ class TestResume:
         assert _builds(paths["counter"]) == builds
         assert deterministic_view(again) == deterministic_view(first)
 
-    def test_campaign_units_ignore_store_path(self, paths, tmp_path):
-        """store_path in a job config must not leak into unit reports.
-
-        A spilled gap cache would make the report's hit/miss counters
-        depend on what the store already holds, breaking the pure
-        payload -> report function that run IDs content-address.
-        """
-        from repro.parallel.campaign import execute_job
-
-        payload = {
-            "name": "band",
-            "problem": {
-                "factory": "repro.parallel._testing:band_problem",
-                "kwargs": {"dim": 2},
-            },
-            "config": dict(TINY, store_path=str(tmp_path / "unit-store")),
-            "seed": 13,
-        }
-        first = execute_job(dict(payload))
-        second = execute_job(dict(payload))
-        assert first["oracle"] == second["oracle"]
-        assert first["oracle"]["cache_misses"] > 0  # nothing spilled over
-        assert not (tmp_path / "unit-store").exists()
-
     @pytest.mark.parametrize("domain", [p.name for p in registry()])
     def test_every_registered_domain_kills_and_resumes(self, domain, tmp_path):
         """Registry round trip: each domain's smoke unit survives a
@@ -240,3 +217,71 @@ class TestResume:
         assert report["timing"]["resumed_runs"] == 1
         assert len(store.list_campaigns()) == 2
         assert len(store.list_runs()) == 1
+
+
+#: the table older stores carry from the deleted on-disk gap cache (same
+#: schema version; nothing reads or writes it now)
+_OLD_GAP_TABLE = """
+CREATE TABLE gap_entries (
+    problem_key TEXT NOT NULL,
+    cell TEXT NOT NULL,
+    benchmark REAL NOT NULL,
+    heuristic REAL NOT NULL,
+    feasible INTEGER NOT NULL,
+    PRIMARY KEY (problem_key, cell)
+);
+"""
+
+
+def _tables(db_path) -> set[str]:
+    conn = sqlite3.connect(db_path)
+    try:
+        rows = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        return {name for (name,) in rows}
+    finally:
+        conn.close()
+
+
+class TestStoreSchemaUpgrade:
+    def test_fresh_store_has_no_gap_table(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        tables = _tables(store.db_path)
+        assert {"meta", "campaigns", "runs", "campaign_runs"} <= tables
+        assert "gap_entries" not in tables
+
+    def test_store_with_old_gap_table_resumes_and_collects(self, tmp_path):
+        """A store that still carries the old gap-cache table (and rows
+        in it) opens, resumes a half-finished campaign bit-identically,
+        and garbage-collects; the old table is left alone."""
+        counter, flag = tmp_path / "builds.log", tmp_path / "healed.flag"
+        spec = _spec(counter, flag)
+        store = RunStore(tmp_path / "store")
+        with pytest.raises(RuntimeError, match="injected mid-campaign"):
+            run_campaign(spec, workers=1, store=store)
+
+        conn = sqlite3.connect(store.db_path)
+        with conn:
+            conn.executescript(_OLD_GAP_TABLE)
+            conn.executemany(
+                "INSERT INTO gap_entries VALUES (?, ?, ?, ?, ?)",
+                [("gap-old", f"[{i}, {i}]", float(i), 0.0, 1) for i in range(3)],
+            )
+        conn.close()
+
+        reopened = RunStore(tmp_path / "store")
+        flag.touch()
+        resumed = run_campaign(spec, workers=1, store=reopened)
+        assert resumed["timing"]["resumed_runs"] == 1
+        assert _builds(counter) == 1  # the stored unit was not re-solved
+        fresh = run_campaign(spec, workers=1, store=RunStore(tmp_path / "fresh"))
+        assert json.dumps(
+            deterministic_view(resumed), sort_keys=True
+        ) == json.dumps(deterministic_view(fresh), sort_keys=True)
+
+        assert reopened.gc(keep=0) == {"campaigns_deleted": 1, "runs_deleted": 3}
+        assert reopened.list_campaigns() == []
+        assert reopened.list_runs() == []
+        conn = sqlite3.connect(reopened.db_path)
+        (rows,) = conn.execute("SELECT COUNT(*) FROM gap_entries").fetchone()
+        conn.close()
+        assert rows == 3

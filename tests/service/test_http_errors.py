@@ -94,6 +94,24 @@ class TestMalformedRequests:
         assert status == 400
         assert "job #0 must be an object" in body["error"]
 
+    @pytest.mark.parametrize(
+        "config, knob",
+        [
+            ({"explainer_samples": "x"}, "explainer_samples"),
+            ({"cache_max_entries": 64}, "cache_max_entries"),
+        ],
+    )
+    def test_bad_job_config_is_400_and_registers_nothing(self, server, config, knob):
+        spec = json.loads(json.dumps(SPEC))
+        spec["jobs"][0]["config"] = config
+        status, body, _ = _request(
+            server, "/campaigns", method="POST", data=json.dumps(spec).encode()
+        )
+        assert status == 400
+        assert knob in body["error"]
+        status, body, _ = _request(server, "/campaigns")
+        assert (status, body["campaigns"]) == (200, [])
+
     def test_bad_workers_param_is_400(self, server):
         status, body, _ = _request(
             server,

@@ -1,4 +1,4 @@
-"""Content-addressing: stable, permutation-proof, environment-blind."""
+"""Content-addressing: stable and permutation-proof."""
 
 from repro.store.ids import campaign_id_for, run_id_for
 
@@ -39,28 +39,6 @@ class TestRunIds:
             }
         )
         assert run_id_for(other_problem) != base
-
-    def test_environmental_config_is_ignored(self):
-        """Store location/retention cannot change a unit's output, so
-        they must not orphan completed runs."""
-        base = run_id_for(_payload())
-        env = _payload(
-            config={
-                "explainer_samples": 15,
-                "store_path": "/somewhere/else",
-                "store_retention": 5,
-            }
-        )
-        assert run_id_for(env) == base
-
-    def test_cache_cap_is_semantic(self):
-        """LRU eviction changes the report's hit/miss counters, so a
-        different cache cap must be a different run."""
-        base = run_id_for(_payload())
-        capped = _payload(
-            config={"explainer_samples": 15, "cache_max_entries": 2}
-        )
-        assert run_id_for(capped) != base
 
 
 class TestCampaignIds:
