@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exceptions import AnalyzerError
+from repro.knobs import check_int_knobs, is_real
 from repro.search.policy import SEARCH_POLICIES
 from repro.subspace.generator import GeneratorConfig
 
@@ -24,11 +25,6 @@ _INT_KNOBS = (
     ("search_budget", 1),
     ("search_rounds", 1),
 )
-
-
-def _is_int(value) -> bool:
-    """An integer that is not a bool (JSON ``true`` is not a count)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -81,15 +77,9 @@ class XPlainConfig:
                 f"unknown search policy {self.search!r}; "
                 f"expected one of {SEARCH_POLICIES}"
             )
-        for name, low in _INT_KNOBS:
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise AnalyzerError(
-                    f"{name} must be an integer >= {low}, got {value!r}"
-                )
+        check_int_knobs(self, _INT_KNOBS, AnalyzerError)
         cutoff = self.explainer_cutoff
-        is_real = _is_int(cutoff) or isinstance(cutoff, float)
-        if not (is_real and 0.0 <= cutoff <= 1.0):
+        if not (is_real(cutoff) and 0.0 <= cutoff <= 1.0):
             raise AnalyzerError(
                 f"explainer_cutoff must be a number in [0, 1], got {cutoff!r}"
             )

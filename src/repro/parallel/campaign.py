@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import AnalyzerError, CampaignInterrupted
+from repro.knobs import is_int
 from repro.obs import runtime as _obs
 from repro.obs.fold import fold_campaign_report, fold_unit_report
 from repro.obs.tracing import (
@@ -118,7 +119,7 @@ class CampaignSpec:
                     "'campaign' is reserved for the aggregate report)"
                 )
             seed = job.get("seed")
-            if seed is not None and not (_is_int(seed) and seed >= 0):
+            if seed is not None and not (is_int(seed) and seed >= 0):
                 raise AnalyzerError(
                     f"campaign job {name!r} 'seed' must be an integer >= 0 "
                     f"or null, got {seed!r}"
@@ -138,7 +139,7 @@ class CampaignSpec:
             raise AnalyzerError(f"campaign job names must be unique, got {names}")
         seed = data.get("seed", 0)
         # The store keeps the campaign seed in a signed 64-bit column.
-        if not (_is_int(seed) and -(2**63) <= seed < 2**63):
+        if not (is_int(seed) and -(2**63) <= seed < 2**63):
             raise AnalyzerError(
                 f"campaign spec 'seed' must be a 64-bit integer, got {seed!r}"
             )
@@ -150,11 +151,6 @@ class CampaignSpec:
             ),
             jobs=jobs,
         )
-
-
-def _is_int(value) -> bool:
-    """A JSON integer (``true``/``false`` are not seeds)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _config_block(value, where: str) -> dict:
@@ -258,9 +254,10 @@ def _build_job_config(payload: dict):
     """An :class:`XPlainConfig` from a merged defaults+job override dict."""
     from repro.core.config import XPlainConfig
     from repro.subspace.generator import GeneratorConfig
+    from repro.subspace.slices import ExpansionConfig
 
     overrides = normalize_search_overrides(dict(payload))
-    generator_overrides = overrides.pop("generator", {})
+    generator_overrides = dict(overrides.pop("generator", {}))
     known = {f.name for f in dataclasses.fields(XPlainConfig)}
     unknown = set(overrides) - known
     if unknown:
@@ -274,6 +271,18 @@ def _build_job_config(payload: dict):
             "unknown GeneratorConfig overrides in campaign job: "
             f"{sorted(generator_unknown)}"
         )
+    if "expansion" in generator_overrides:
+        expansion = generator_overrides["expansion"]
+        if not isinstance(expansion, dict):
+            raise AnalyzerError(f"expansion must be an object, got {expansion!r}")
+        expansion_known = {f.name for f in dataclasses.fields(ExpansionConfig)}
+        expansion_unknown = set(expansion) - expansion_known
+        if expansion_unknown:
+            raise AnalyzerError(
+                "unknown ExpansionConfig overrides in campaign job: "
+                f"{sorted(expansion_unknown)}"
+            )
+        generator_overrides["expansion"] = ExpansionConfig(**expansion)
     config = XPlainConfig(
         generator=GeneratorConfig(**generator_overrides), **overrides
     )

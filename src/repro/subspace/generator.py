@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analyzer.interface import AdversarialExample, AnalyzedProblem
-from repro.exceptions import SubspaceError
+from repro.exceptions import AnalyzerError, SubspaceError
+from repro.knobs import check_int_knobs, is_real
 from repro.subspace.region import Box, Halfspace, Region
 from repro.subspace.sampler import (
     SampleSet,
@@ -32,6 +33,26 @@ from repro.subspace.significance import (
 )
 from repro.subspace.slices import ExpansionConfig, expand_around
 from repro.subspace.tree import RegressionTree, TreePredicate
+
+#: integer knobs and their least legal value (the signed-rank test needs
+#: at least 5 pairs; ``numpy.random.default_rng`` a seed >= 0)
+_INT_KNOBS = (
+    ("tree_max_depth", 0),
+    ("tree_min_samples_leaf", 1),
+    ("tree_extra_samples", 0),
+    ("significance_pairs", 5),
+    ("max_subspaces", 1),
+    ("max_revisits", 0),
+    ("seed", 0),
+)
+_EXPANSION_INT_KNOBS = (("samples_per_slice", 1), ("max_expansions", 0))
+#: knobs that are fractions in [0, 1]
+_FRACTION_KNOBS = ("gap_threshold_fraction", "shell_fraction")
+_EXPANSION_FRACTION_KNOBS = (
+    "initial_halfwidth_fraction",
+    "step_fraction",
+    "density_threshold",
+)
 
 
 @dataclass
@@ -65,6 +86,32 @@ class GeneratorConfig:
     #: with a different seed.
     max_revisits: int = 0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Check every knob now, so a bad campaign job fails at planning."""
+        if not isinstance(self.expansion, ExpansionConfig):
+            raise AnalyzerError(
+                f"expansion must be an ExpansionConfig, got {self.expansion!r}"
+            )
+        check_int_knobs(self, _INT_KNOBS, AnalyzerError)
+        check_int_knobs(
+            self.expansion, _EXPANSION_INT_KNOBS, AnalyzerError, "expansion."
+        )
+        fractions = [(name, getattr(self, name)) for name in _FRACTION_KNOBS]
+        fractions += [
+            (f"expansion.{name}", getattr(self.expansion, name))
+            for name in _EXPANSION_FRACTION_KNOBS
+        ]
+        for name, value in fractions:
+            if not (is_real(value) and 0.0 <= value <= 1.0):
+                raise AnalyzerError(f"{name} must be a number in [0, 1], got {value!r}")
+        if not (is_real(self.alpha) and 0.0 < self.alpha < 1.0):
+            raise AnalyzerError(f"alpha must be a number in (0, 1), got {self.alpha!r}")
+        if self.gap_threshold is not None and not is_real(self.gap_threshold):
+            raise AnalyzerError(
+                "gap_threshold must be null or a finite number, "
+                f"got {self.gap_threshold!r}"
+            )
 
 
 @dataclass

@@ -11,6 +11,16 @@ matrices. When the features are the raw inputs, the root-to-leaf path maps
 directly onto :class:`~repro.subspace.region.Halfspace` rows (the ``T_i X
 <= V_i`` block of Fig. 5c); for derived features F(I) the path is reported
 as named predicates.
+
+Per node, each feature offers the midpoints between its consecutive
+distinct values, or a grid of ``max_candidate_splits`` quantiles once it
+has more distinct values than that; the first candidate with strictly the
+largest variance decrease above ``min_variance_decrease`` wins. The split
+search scores all candidates from prefix sums of the sorted, centered
+gaps and re-scores with the plain two-variance formula only those within
+a proven rounding bound of the best, so each tree is bit for bit the one
+the plain search (``tests/subspace/reference_tree.py``) builds (DESIGN.md
+§2, "Exact split search").
 """
 
 from __future__ import annotations
@@ -20,7 +30,41 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import SubspaceError
+from repro.knobs import check_int_knobs
 from repro.subspace.region import Halfspace
+
+#: unit roundoff of float64 arithmetic (round to nearest)
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
+#: absolute slack of the rounding bound: subnormal results carry an
+#: absolute rounding error (at most 2**-1075 per operation), not a
+#: relative one
+_SUBNORMAL_SLACK = 1e-300
+
+#: integer knobs and their least legal value
+_INT_KNOBS = (
+    ("max_depth", 0),
+    ("min_samples_leaf", 1),
+    ("max_candidate_splits", 1),
+)
+
+
+def _rounding_bound(n: int, centered: np.ndarray, y: np.ndarray) -> float:
+    """A bound on |fast gain - reference gain| for any split of one node.
+
+    ``centered`` is ``y`` minus the prefix sums' center. DESIGN.md §2,
+    "Exact split search", bounds the fast gain's error by
+    ``10 gamma(n + 6) D^2`` and the reference's by
+    ``gamma(2n + 14) D^2 + 6 gamma(n)^2 Y^2`` (``D`` the largest centered
+    gap, ``Y`` the largest gap, ``gamma(k) = k u / (1 - k u)``); the
+    constant here leaves room for second-order terms and its own rounding.
+    """
+    u = _UNIT_ROUNDOFF
+    spread = float(np.abs(centered).max())
+    scale = float(np.abs(y).max())
+    return (
+        32.0 * (n + 8) * u * (spread * spread + n * u * scale * scale)
+        + _SUBNORMAL_SLACK
+    )
 
 
 @dataclass
@@ -73,6 +117,9 @@ class RegressionTree:
     feature_names: list[str] = field(default_factory=list)
     _root: _Node | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        check_int_knobs(self, _INT_KNOBS, SubspaceError)
+
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RegressionTree":
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
@@ -80,6 +127,11 @@ class RegressionTree:
             raise SubspaceError("X/y length mismatch")
         if len(x) == 0:
             raise SubspaceError("cannot fit a tree on zero samples")
+        # The split search's rounding bound holds for finite data only,
+        # and one NaN would reach every later candidate through the
+        # prefix sums.
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise SubspaceError("cannot fit a tree on non-finite x or y")
         if not self.feature_names:
             self.feature_names = [f"x{i}" for i in range(x.shape[1])]
         self._root = self._build(x, y, depth=0)
@@ -104,39 +156,114 @@ class RegressionTree:
         node.right = self._build(x[~mask], y[~mask], depth + 1)
         return node
 
+    def _quantile_levels(self) -> np.ndarray:
+        return np.linspace(0, 1, self.max_candidate_splits + 2)[1:-1]
+
     def _best_split(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[int, float] | None:
+        """The node's first strictly best ``(feature, threshold)``, or None.
+
+        Candidates run feature by feature, thresholds ascending. A
+        threshold ``t`` puts the ``k`` rows with ``x <= t`` on the left,
+        and its gain depends on ``k`` alone, so one sort and one prefix
+        sum per feature score every ``k`` at once. Only candidates that
+        could still be the plain search's answer under the rounding
+        bound are re-scored with its exact arithmetic, in its order,
+        under its strict ``>`` rule.
+        """
         n = len(y)
+        columns = np.ascontiguousarray(x.T)
+        order = np.argsort(columns, axis=1)
+        ordered = np.take_along_axis(columns, order, axis=1)
+        # Centering keeps the prefix sums, and so their rounding, at the
+        # scale of the gaps' spread rather than their magnitude.
+        centered = y - y.mean()
+        prefix = np.cumsum(centered[order], axis=1)
+        left = np.arange(1, n)
+        # gains[f, k - 1]: between-group variance of the k lowest rows of
+        # feature f against the rest, k (n - k) / n**2 * (mean gap)**2
+        gains = (left * (n - left) / float(n * n)) * (
+            prefix[:, :-1] / left
+            - (prefix[:, -1:] - prefix[:, :-1]) / (n - left)
+        ) ** 2
+
+        steps = ordered[:, 1:] != ordered[:, :-1]
+        distinct = 1 + steps.sum(axis=1)
+        on_grid = distinct > self.max_candidate_splits
+        if on_grid.any():
+            # Each grid feature's levels, sorted and deduplicated as
+            # np.unique would (up to the sign of a zero).
+            grid = np.sort(
+                np.quantile(ordered[on_grid], self._quantile_levels(), axis=1),
+                axis=0,
+            ).T
+            fresh = np.ones(grid.shape, dtype=bool)
+            fresh[:, 1:] = grid[:, 1:] != grid[:, :-1]
+            grid_cuts = (row[new] for row, new in zip(grid, fresh))
+        features, cuts, sizes = [], [], []
+        for f, column in enumerate(ordered):
+            if on_grid[f]:
+                cut = next(grid_cuts)
+            elif distinct[f] > 1:
+                upper = np.flatnonzero(steps[f]) + 1
+                cut = (column[upper - 1] + column[upper]) / 2.0
+            else:
+                continue
+            features.append(np.full(len(cut), f))
+            cuts.append(cut)
+            sizes.append(np.searchsorted(column, cut, side="right"))
+        if not features:
+            return None
+        feature = np.concatenate(features)
+        cut = np.concatenate(cuts)
+        size = np.concatenate(sizes)
+        keep = (size >= self.min_samples_leaf) & (
+            size <= n - self.min_samples_leaf
+        )
+        # Sizes never fall as thresholds rise. Equal partitions score
+        # equally in both searches and the first one wins: drop the rest.
+        keep[1:] &= (size[1:] != size[:-1]) | (feature[1:] != feature[:-1])
+        if not keep.any():
+            return None
+        feature, cut, size = feature[keep], cut[keep], size[keep]
+        fast = gains[feature, size - 1]
+
+        # An infinite bound (squared gaps overflow) keeps every candidate
+        # in the band; a non-finite fast gain sends them all to re-scoring.
+        bound = _rounding_bound(n, centered, y)
+        if np.isfinite(fast).all():
+            band = np.flatnonzero(
+                (fast >= fast.max() - 2.0 * bound)
+                & (fast >= self.min_variance_decrease - bound)
+            )
+        else:
+            band = np.arange(len(fast))
+
         base_var = float(np.var(y))
         best_gain = self.min_variance_decrease
-        best: tuple[int, float] | None = None
-        for feature in range(x.shape[1]):
-            column = x[:, feature]
-            values = np.unique(column)
-            if len(values) < 2:
-                continue
-            if len(values) > self.max_candidate_splits:
-                qs = np.linspace(0, 1, self.max_candidate_splits + 2)[1:-1]
-                candidates = np.unique(np.quantile(column, qs))
-            else:
-                candidates = (values[:-1] + values[1:]) / 2.0
-            for threshold in candidates:
-                mask = column <= threshold
-                n_left = int(mask.sum())
-                if (
-                    n_left < self.min_samples_leaf
-                    or n - n_left < self.min_samples_leaf
-                ):
-                    continue
-                var_left = float(np.var(y[mask]))
-                var_right = float(np.var(y[~mask]))
-                weighted = (n_left * var_left + (n - n_left) * var_right) / n
-                gain = base_var - weighted
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (feature, float(threshold))
-        return best
+        best = None
+        for i in band:
+            mask = x[:, feature[i]] <= cut[i]
+            n_left = int(size[i])
+            var_left = float(np.var(y[mask]))
+            var_right = float(np.var(y[~mask]))
+            weighted = (n_left * var_left + (n - n_left) * var_right) / n
+            gain = base_var - weighted
+            if gain > best_gain:
+                best_gain = gain
+                best = i
+        if best is None:
+            return None
+        f = int(feature[best])
+        threshold = cut[best]
+        if on_grid[f] and threshold == 0.0:
+            # Quantiles of the sorted column equal the plain search's
+            # bit for bit except that a zero may carry the other sign, so
+            # read a zero threshold off the plain search's own grid.
+            own = np.unique(np.quantile(x[:, f], self._quantile_levels()))
+            threshold = own[own == 0.0][0]
+        return f, float(threshold)
 
     # -- inference -----------------------------------------------------------
     def _require_fit(self) -> _Node:

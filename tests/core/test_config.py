@@ -1,9 +1,11 @@
-"""XPlainConfig must reject bad knob values eagerly with clear messages."""
+"""XPlainConfig and GeneratorConfig reject bad knob values eagerly."""
 
 import pytest
 
 from repro import XPlainConfig
 from repro.exceptions import AnalyzerError
+from repro.subspace.generator import GeneratorConfig
+from repro.subspace.slices import ExpansionConfig
 
 
 class TestConfigValidation:
@@ -120,3 +122,43 @@ class TestSearchKnobs:
         assert config.search == "hybrid"
         assert config.search_budget == 256
         assert config.search_rounds == 4
+
+
+class TestGeneratorKnobs:
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [
+            ({"tree_max_depth": -1}, "tree_max_depth"),
+            ({"significance_pairs": 4}, "significance_pairs"),
+            ({"max_subspaces": 1.0}, "max_subspaces"),
+            ({"seed": False}, "seed"),
+            ({"shell_fraction": float("nan")}, "shell_fraction"),
+            ({"alpha": 0}, "alpha"),
+            ({"gap_threshold": 10**400}, "gap_threshold"),
+            ({"expansion": {"step_fraction": 0.1}}, "ExpansionConfig"),
+            (
+                {"expansion": ExpansionConfig(samples_per_slice=0)},
+                "expansion.samples_per_slice",
+            ),
+            (
+                {"expansion": ExpansionConfig(density_threshold=1.5)},
+                "expansion.density_threshold",
+            ),
+        ],
+    )
+    def test_bad_values_rejected(self, knobs, match):
+        with pytest.raises(AnalyzerError, match=match):
+            GeneratorConfig(**knobs)
+
+    def test_edge_values_accepted(self):
+        config = GeneratorConfig(
+            tree_max_depth=0,
+            tree_min_samples_leaf=1,
+            significance_pairs=5,
+            shell_fraction=1,
+            gap_threshold_fraction=0.0,
+            gap_threshold=-2,
+            alpha=0.999,
+            expansion=ExpansionConfig(max_expansions=0, step_fraction=1.0),
+        )
+        assert config.gap_threshold == -2

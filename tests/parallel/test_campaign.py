@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from repro.exceptions import AnalyzerError
 from repro.parallel.campaign import (
     CampaignSpec,
+    _build_job_config,
     deterministic_view,
     load_campaign_spec,
     plan_campaign,
@@ -16,6 +18,8 @@ from repro.parallel.campaign import (
 )
 from repro.store import RunStore
 from repro.store.ids import campaign_id_for
+from repro.subspace.slices import ExpansionConfig
+from repro.subspace.tree import RegressionTree
 
 try:  # stdlib on 3.11+, tomli backport on 3.10 (requirements-dev.txt)
     import tomllib  # noqa: F401
@@ -172,6 +176,18 @@ class TestSpecParsing:
             ({"blackbox_budget": -1}, "blackbox_budget"),
             ({"explainer_cutoff": "high"}, "explainer_cutoff"),
             ({"explainer_cutoff": 1.5}, "explainer_cutoff"),
+            # so is every generator knob, the expansion block included
+            ({"generator": {"max_subspaces": "x"}}, "max_subspaces"),
+            ({"generator": {"significance_pairs": -4}}, "significance_pairs"),
+            ({"generator": {"tree_min_samples_leaf": 0}}, "tree_min_samples_leaf"),
+            ({"generator": {"tree_extra_samples": "many"}}, "tree_extra_samples"),
+            ({"generator": {"max_revisits": True}}, "max_revisits"),
+            ({"generator": {"alpha": 2.0}}, "alpha"),
+            ({"generator": {"shell_fraction": -0.1}}, "shell_fraction"),
+            ({"generator": {"gap_threshold": "high"}}, "gap_threshold"),
+            ({"generator": {"expansion": {"stp": 0.1}}}, "unknown ExpansionConfig"),
+            ({"generator": {"expansion": {"step_fraction": 2}}}, "step_fraction"),
+            ({"generator": {"expansion": 5}}, "expansion must be an object"),
         ],
     )
     def test_bad_config_values_fail_at_run(self, config, match, tmp_path):
@@ -196,6 +212,27 @@ class TestSpecParsing:
         with pytest.raises(AnalyzerError, match=match):
             run_campaign(spec, workers=1, store=store)
         assert store.list_campaigns() == []
+
+    def test_expansion_block_is_built_and_runs(self):
+        config = {
+            "explainer_samples": 15,
+            "generalizer_samples": 0,
+            "generator": {
+                "max_subspaces": 1,
+                "tree_extra_samples": 40,
+                "significance_pairs": 12,
+                "expansion": {"step_fraction": 0.1},
+            },
+        }
+        job = {"name": "band", "problem": {"factory": _BAND}, "config": config}
+        spec = CampaignSpec.from_dict({"jobs": [job]})
+        # The planned payload, which run IDs hash, keeps the JSON block.
+        (payload,) = plan_campaign(spec)
+        assert payload["config"]["generator"]["expansion"] == {"step_fraction": 0.1}
+        built = _build_job_config(payload["config"]).generator.expansion
+        assert built == ExpansionConfig(step_fraction=0.1)
+        report = run_campaign(spec, workers=1)
+        assert report["problems"][0]["analyzer_calls"] >= 1
 
     def test_spec_round_trips_through_to_dict(self):
         spec = CampaignSpec.from_dict(SPEC_DATA)
@@ -266,8 +303,19 @@ def _shaped(required=None, **optional):
     return JSON_VALUES | st.fixed_dictionaries(required or {}, optional=optional)
 
 
+_GENERATORS = _shaped(
+    max_subspaces=st.just(1) | JSON_VALUES,
+    significance_pairs=st.just(12) | JSON_VALUES,
+    tree_min_samples_leaf=st.just(4) | JSON_VALUES,
+    alpha=st.just(0.05) | JSON_VALUES,
+    gap_threshold=JSON_VALUES,
+    expansion=_shaped(
+        step_fraction=st.just(0.1) | JSON_VALUES,
+        samples_per_slice=st.just(8) | JSON_VALUES,
+    ),
+)
 _CONFIGS = _shaped(
-    generator=st.just({"max_subspaces": 1}) | JSON_VALUES,
+    generator=_GENERATORS,
     search=st.just({"policy": "bandit"}) | JSON_VALUES,
     explainer_samples=JSON_VALUES,
 )
@@ -319,9 +367,20 @@ class TestMalformedSpecs:
         # Parse, then plan and address it, as a service submit does.
         try:
             spec = CampaignSpec.from_dict(data)
-            campaign_id_for(spec.name, spec.seed, plan_campaign(spec))
+            plan = plan_campaign(spec)
+            campaign_id_for(spec.name, spec.seed, plan)
         except AnalyzerError:
-            pass
+            return
+        # A planned job's generator knobs are what its run consumes: a
+        # tree, an expansion config and a seeded stream can be made.
+        for payload in plan:
+            generator = _build_job_config(payload["config"]).generator
+            RegressionTree(
+                max_depth=generator.tree_max_depth,
+                min_samples_leaf=generator.tree_min_samples_leaf,
+            )
+            assert isinstance(generator.expansion, ExpansionConfig)
+            np.random.default_rng(generator.seed)
 
 
 class TestRunCampaign:

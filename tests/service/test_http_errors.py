@@ -99,6 +99,8 @@ class TestMalformedRequests:
         [
             ({"explainer_samples": "x"}, "explainer_samples"),
             ({"cache_max_entries": 64}, "cache_max_entries"),
+            ({"generator": {"significance_pairs": -4}}, "significance_pairs"),
+            ({"generator": {"expansion": {"stp": 0.1}}}, "ExpansionConfig"),
         ],
     )
     def test_bad_job_config_is_400_and_registers_nothing(self, server, config, knob):

@@ -70,6 +70,34 @@ class TestRegressionTree:
         with pytest.raises(SubspaceError):
             RegressionTree().fit(np.zeros((0, 1)), np.zeros(0))
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("max_depth", -1),
+            ("max_depth", True),
+            ("min_samples_leaf", 0),
+            ("min_samples_leaf", 2.0),
+            ("max_candidate_splits", 0),
+            ("max_candidate_splits", "32"),
+        ],
+    )
+    def test_bad_knobs_rejected(self, knob, value):
+        with pytest.raises(SubspaceError, match=knob):
+            RegressionTree(**{knob: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_non_finite_fit_rejected(self, where, bad):
+        # One NaN gap used to collapse the fit to a single NaN leaf.
+        x = np.linspace(0, 1, 40).reshape(-1, 1)
+        y = (x[:, 0] > 0.5).astype(float)
+        if where == "x":
+            x[7, 0] = bad
+        else:
+            y[7] = bad
+        with pytest.raises(SubspaceError, match="non-finite"):
+            RegressionTree().fit(x, y)
+
     def test_path_predicates_hold_for_their_point(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 1, size=(400, 3))
