@@ -174,30 +174,61 @@ class BlackBoxAnalyzer:
     def _hill_climb(
         self, rng: np.random.Generator, excluded: list[Box]
     ) -> tuple[np.ndarray | None, float]:
+        """Random restarts of a greedy climb, advanced in lockstep.
+
+        No draw depends on a gap, so every restart's start and noise are
+        drawn first, in the sequential climb's order; the restarts then
+        share one oracle batch per step. Paths, the restart-major
+        ``history`` and the best are the sequential climb's, bit for bit
+        (DESIGN.md §5, "Lockstep hill climb").
+        """
         box = self.problem.input_box
         steps = box.widths * self.step_fraction
         per_restart = max(1, self.budget // max(1, self.restarts))
-        best_x, best_gap = None, -np.inf
+        starts, noise = [], []
         for _ in range(self.restarts):
-            x = box.sample(rng, 1)[0]
-            if not self._admissible(x, excluded):
+            start = box.sample(rng, 1)[0]
+            if self._admissible(start, excluded):
+                starts.append(start)
+                noise.append(rng.normal(0.0, steps, size=(per_restart - 1, box.dim)))
+        if not starts:
+            return None, -np.inf
+        xs = np.array(starts)
+        trails: list[list[tuple[np.ndarray, float]]] = [[] for _ in starts]
+        gaps = self._evaluate_rows(xs, list(range(len(xs))), trails)
+        for step in np.stack(noise, axis=1):
+            candidates = box.clip_point(xs + step)
+            movers = [
+                r for r, x in enumerate(candidates) if self._admissible(x, excluded)
+            ]
+            if not movers:
                 continue
-            gap = self._evaluate(x)
-            spent = 1
-            while spent < per_restart:
-                candidate = box.clip_point(
-                    x + rng.normal(0.0, steps, size=box.dim)
-                )
-                if not self._admissible(candidate, excluded):
-                    spent += 1
-                    continue
-                candidate_gap = self._evaluate(candidate)
-                spent += 1
-                if candidate_gap > gap:
-                    x, gap = candidate, candidate_gap
+            moved = self._evaluate_rows(candidates, movers, trails)
+            for r, gap in zip(movers, moved):
+                if gap > gaps[r]:
+                    xs[r], gaps[r] = candidates[r], gap
+        for trail in trails:
+            self.history.extend(trail)
+        best_x, best_gap = None, -np.inf
+        for x, gap in zip(xs, gaps):
             if gap > best_gap:
                 best_x, best_gap = x, gap
         return best_x, best_gap
+
+    def _evaluate_rows(
+        self,
+        xs: np.ndarray,
+        rows: list[int],
+        trails: list[list[tuple[np.ndarray, float]]],
+    ) -> list[float]:
+        """Gaps of ``xs[rows]`` as one oracle batch, each logged to its
+        row's trail."""
+        batch = xs[rows]
+        gaps = [float(gap) for gap in self.problem.evaluate_many(batch).gaps]
+        self.ledger.charge(len(rows), STAGE_ANALYZER)
+        for row, x, gap in zip(rows, batch, gaps):
+            trails[row].append((x, gap))
+        return gaps
 
     def _anneal(
         self, rng: np.random.Generator, excluded: list[Box]

@@ -77,6 +77,11 @@ class XPlainConfig:
                 f"unknown search policy {self.search!r}; "
                 f"expected one of {SEARCH_POLICIES}"
             )
+        if not isinstance(self.generator, GeneratorConfig):
+            raise AnalyzerError(
+                "generator must be a GeneratorConfig, got "
+                f"{type(self.generator).__name__}"
+            )
         check_int_knobs(self, _INT_KNOBS, AnalyzerError)
         cutoff = self.explainer_cutoff
         if not (is_real(cutoff) and 0.0 <= cutoff <= 1.0):

@@ -7,7 +7,9 @@ through one :class:`OracleEngine` per problem (see
 
 * answers repeated points from a quantized-key :class:`~repro.oracle.
   cache.GapCache`, held in memory for the engine's lifetime (the only
-  oracle cache; ``cache=False`` turns it off);
+  oracle cache; ``cache=False`` turns it off), and a point repeated
+  within one batch from its first copy, so hits and misses are counted
+  the same however a caller groups its points;
 * forwards the remaining points, as one batch, to the problem's *native
   batched* oracle (``AnalyzedProblem.evaluate_batch``, e.g. the TE
   LP-template oracle or the vectorized binpack first-fit) when one
@@ -62,15 +64,22 @@ class OracleEngine:
         heuristic = np.empty(n)
         feasible = np.ones(n, dtype=bool)
 
+        # (index, first index) of each later copy of a key new to the
+        # cache: a hit served from the first copy, as one-point calls
+        # would serve it, so grouping never changes the counters
+        repeats: list[tuple[int, int]] = []
         if self.cache is not None:
             keys = [self.cache.key(x) for x in xs]
             miss_indices: list[int] = []
-            pending: set[tuple] = set()
+            pending: dict[tuple, int] = {}
             for i, key in enumerate(keys):
-                entry = None if key in pending else self.cache.get(key)
+                if key in pending:
+                    repeats.append((i, pending[key]))
+                    continue
+                entry = self.cache.get(key)
                 if entry is None:
                     miss_indices.append(i)
-                    pending.add(key)
+                    pending[key] = i
                 else:
                     benchmark[i], heuristic[i], feasible[i] = entry
         else:
@@ -95,6 +104,10 @@ class OracleEngine:
                         float(heuristic[i]),
                         bool(feasible[i]),
                     )
+            for i, first in repeats:
+                benchmark[i] = benchmark[first]
+                heuristic[i] = heuristic[first]
+                feasible[i] = feasible[first]
 
         elapsed = time.perf_counter() - start
         self.stats.eval_seconds += elapsed

@@ -162,3 +162,12 @@ class TestGeneratorKnobs:
             expansion=ExpansionConfig(max_expansions=0, step_fraction=1.0),
         )
         assert config.gap_threshold == -2
+
+    @pytest.mark.parametrize("generator", [{"max_subspaces": 1}, None, "default"])
+    def test_xplain_config_needs_a_generator_config(self, generator):
+        # A dict used to construct and then fail the run deep inside the
+        # generator with an AttributeError.
+        with pytest.raises(AnalyzerError, match="GeneratorConfig"):
+            XPlainConfig(generator=generator)
+        config = XPlainConfig(generator=GeneratorConfig(max_subspaces=1))
+        assert config.generator.max_subspaces == 1

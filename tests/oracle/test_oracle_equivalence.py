@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analyzer import (
     AnalyzedProblem,
@@ -17,6 +19,7 @@ from repro.domains.te import (
     fig1a_topology,
 )
 from repro.oracle import GapCache, OracleEngine, OracleStats
+from repro.parallel._testing import band_problem
 from repro.subspace import AdversarialSubspaceGenerator, GeneratorConfig
 from repro.subspace.region import Box
 
@@ -45,6 +48,30 @@ def make_band_problem():
         input_box=Box.from_arrays(np.zeros(2), np.ones(2)),
         evaluate=evaluate,
     )
+
+
+def _counters(engine: OracleEngine) -> tuple:
+    stats = engine.stats
+    return (
+        stats.points,
+        stats.cache_hits,
+        stats.cache_misses,
+        stats.native_batched,
+        stats.scalar_fallback,
+    )
+
+
+def _values(samples: GapSamples) -> list[tuple]:
+    """Every point's answer, as exact bits."""
+    return [
+        (x.tobytes(), b.tobytes(), h.tobytes(), bool(f))
+        for x, b, h, f in zip(
+            samples.xs,
+            samples.benchmark_values,
+            samples.heuristic_values,
+            samples.heuristic_feasible,
+        )
+    ]
 
 
 class TestBatchedScalarEquivalence:
@@ -223,6 +250,46 @@ class TestCacheEquivalence:
         engine.evaluate_many(points)
         assert engine.stats.cache_hits == 0
         assert engine.stats.scalar_fallback == 8
+
+    def test_repeats_within_a_batch_are_hits(self):
+        # A point new to the cache goes to the oracle once per batch; its
+        # later copies are hits served from the first copy, exactly as
+        # four one-point calls would count and answer them.
+        p, q = [0.7, 0.2], [0.1, 0.5]
+        batch = np.array([p, p, q, p])
+        batched = OracleEngine(make_band_problem())
+        values = batched.evaluate_many(batch)
+        single = OracleEngine(make_band_problem())
+        samples = [single.evaluate(x) for x in batch]
+        assert (batched.stats.cache_misses, batched.stats.cache_hits) == (2, 2)
+        assert batched.stats.scalar_fallback == 2  # points dispatched
+        assert _counters(batched) == _counters(single)
+        assert _values(values) == _values(
+            GapSamples.from_samples(samples, dim=2)
+        )
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=12),
+        st.lists(st.integers(1, 12), max_size=12),
+    )
+    def test_batch_split_never_changes_values_or_counters(self, picks, cuts):
+        # Draw a sequence over four points (repeats likely), split it into
+        # batches at ``cuts``, and compare with one-point calls.
+        points = np.array([[0.7, 0.2], [0.1, 0.5], [0.8, 0.9], [0.65, 0.0]])
+        xs = points[picks]
+        bounds = sorted({min(c, len(xs)) for c in cuts} | {0, len(xs)})
+        split = OracleEngine(band_problem())
+        batches = [
+            split.evaluate_many(xs[a:b]) for a, b in zip(bounds, bounds[1:])
+        ]
+        single = OracleEngine(band_problem())
+        samples = [single.evaluate(x) for x in xs]
+        assert _counters(split) == _counters(single)
+        assert split.stats.cache_misses == len(set(picks))
+        assert [v for batch in batches for v in _values(batch)] == _values(
+            GapSamples.from_samples(samples, dim=2)
+        )
 
     @pytest.mark.parametrize("knob", ["spill", "resolution", "max_entries"])
     def test_removed_cache_knobs_fail_loudly(self, knob):
