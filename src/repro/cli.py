@@ -17,19 +17,14 @@ without writing Python:
   and write per-problem JSON reports (``--store`` makes it resumable);
 * ``serve``    — the long-running analysis service (JSON HTTP API over a
   persistent run store; DESIGN.md §10);
-* ``fabric``   — the fault-tolerant execution fabric (DESIGN.md §13):
-  ``serve`` runs the service on a lease-queue worker fleet, ``status``
-  dumps queue/fleet health, ``chaos-smoke`` drives the CI
-  fault-injection matrix;
 * ``runs``     — inspect and garbage-collect a run store
   (``list`` / ``show`` / ``gc``).
 
 The unit of parallel work is a whole campaign job (DESIGN.md §9):
-``campaign``, ``serve``, ``fabric serve`` and ``fabric chaos-smoke``
-take ``--workers N`` and run up to ``N`` jobs at once, with reports
-bit-identical to ``--workers 1`` for a fixed seed. ``analyze`` runs one
-job in-process; to parallelize analyses, put them in a campaign spec
-(``repro domains --campaign-spec``).
+``campaign`` and ``serve`` take ``--workers N`` and run up to ``N`` jobs
+at once on a process pool, with reports bit-identical to ``--workers 1``
+for a fixed seed. ``analyze`` runs one job in-process; to parallelize
+analyses, put them in a campaign spec (``repro domains --campaign-spec``).
 
 The domain subcommands are generated from the plugin registry
 (:mod:`repro.domains.registry`, DESIGN.md §11): a new domain package
@@ -53,32 +48,6 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
         help="campaign jobs run at once (a whole job is the unit of "
         "parallel work; 1 = one after another)",
     )
-
-
-def _add_serve_options(parser: argparse.ArgumentParser, store_help: str) -> None:
-    """The options ``repro serve`` and ``repro fabric serve`` share."""
-    parser.add_argument("--store", required=True, help=store_help)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="listen port (default 8347; 0 picks an ephemeral port)",
-    )
-    parser.add_argument(
-        "--retention",
-        type=int,
-        default=0,
-        help="gc the store down to this many campaigns after each run "
-        "(0 keeps everything)",
-    )
-    parser.add_argument(
-        "--log-level",
-        default="warning",
-        choices=("debug", "info", "warning", "error"),
-        help="service logging threshold (requests log at info)",
-    )
-    _add_workers(parser)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -253,84 +222,39 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the analysis service (JSON HTTP API over a run store)",
     )
-    _add_serve_options(
-        serve, "persistent run store directory backing the service"
+    serve.add_argument(
+        "--store",
+        required=True,
+        help="persistent run store directory backing the service",
     )
-
-    fabric = sub.add_parser(
-        "fabric",
-        help="fault-tolerant execution fabric (DESIGN.md §13): "
-        "serve, status, chaos-smoke",
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        help="listen port (default 8347; 0 picks an ephemeral port)",
     )
-    fabric_sub = fabric.add_subparsers(dest="fabric_command", required=True)
-    fabric_serve = fabric_sub.add_parser(
-        "serve",
-        help="run the analysis service on a lease-queue worker fleet "
-        "(heartbeats, retry/backoff, quarantine)",
+    serve.add_argument(
+        "--retention",
+        type=int,
+        default=0,
+        help="gc the store down to this many campaigns after each run "
+        "(0 keeps everything)",
     )
-    _add_serve_options(
-        fabric_serve,
-        "persistent run store directory backing the service "
-        "(the fabric queue lives in its fabric/ subdirectory)",
-    )
-    fabric_serve.add_argument(
+    serve.add_argument(
         "--max-pending",
         type=int,
         default=0,
         help="campaign backlog bound; full backlog makes POST "
         "/campaigns answer 429 (0 = unbounded)",
     )
-    fabric_serve.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=10.0,
-        help="work-unit lease duration; a dead worker's unit is "
-        "requeued within roughly this long",
+    serve.add_argument(
+        "--log-level",
+        default="warning",
+        choices=("debug", "info", "warning", "error"),
+        help="service logging threshold (requests log at info)",
     )
-    fabric_status = fabric_sub.add_parser(
-        "status",
-        help="print a store's fabric queue/fleet status as JSON",
-    )
-    fabric_status.add_argument(
-        "--store", required=True, help="run store directory to inspect"
-    )
-    fabric_smoke = fabric_sub.add_parser(
-        "chaos-smoke",
-        help="CI fault-injection matrix: per-domain smoke campaigns "
-        "under kill/stall/drop-heartbeat, diffed against unfaulted runs",
-    )
-    fabric_smoke.add_argument(
-        "--out",
-        required=True,
-        help="working directory for the faulted runs and the report",
-    )
-    fabric_smoke.add_argument(
-        "--domains",
-        nargs="*",
-        default=None,
-        help="domains to exercise (default: every registered domain)",
-    )
-    fabric_smoke.add_argument(
-        "--faults",
-        nargs="*",
-        default=["kill", "stall", "drop_heartbeat"],
-        help="chaos actions to inject",
-    )
-    fabric_smoke.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="fleet size for each faulted run",
-    )
-    fabric_smoke.add_argument(
-        "--seed", type=int, default=0, help="victim-selection seed"
-    )
-    fabric_smoke.add_argument(
-        "--artifact",
-        default=None,
-        help="where to write the JSON report "
-        "(default <out>/chaos-report.json)",
-    )
+    _add_workers(serve)
 
     runs = sub.add_parser(
         "runs", help="inspect or garbage-collect a persistent run store"
@@ -618,65 +542,10 @@ def cmd_serve(args) -> int:
         port=DEFAULT_PORT if args.port is None else args.port,
         workers=args.workers,
         retention=args.retention,
+        max_pending=args.max_pending,
         log_level=args.log_level,
     )
     return 0
-
-
-def cmd_fabric(args) -> int:
-    import json as json_module
-    from pathlib import Path
-
-    if args.fabric_command == "serve":
-        from repro.service import DEFAULT_PORT, serve
-
-        serve(
-            args.store,
-            host=args.host,
-            port=DEFAULT_PORT if args.port is None else args.port,
-            workers=args.workers,
-            retention=args.retention,
-            executor="fabric",
-            max_pending=args.max_pending,
-            lease_seconds=args.lease_seconds,
-            log_level=args.log_level,
-        )
-        return 0
-    if args.fabric_command == "status":
-        from repro.fabric import WorkQueue, fabric_db_path
-
-        fabric_dir = Path(args.store) / "fabric"
-        if not fabric_db_path(fabric_dir).exists():
-            print(f"no fabric queue under {args.store} (run fabric serve?)")
-            return 1
-        status = WorkQueue(fabric_dir).status()
-        print(json_module.dumps(status, indent=2, sort_keys=True))
-        return 0
-    if args.fabric_command == "chaos-smoke":
-        from repro.fabric import run_chaos_matrix
-
-        report = run_chaos_matrix(
-            args.out,
-            domains=args.domains or None,
-            faults=tuple(args.faults),
-            workers=args.workers,
-            seed=args.seed,
-        )
-        artifact = Path(args.artifact or Path(args.out) / "chaos-report.json")
-        artifact.parent.mkdir(parents=True, exist_ok=True)
-        artifact.write_text(json_module.dumps(report, indent=2, sort_keys=True))
-        for domain, data in report["domains"].items():
-            for fault in report["faults"]:
-                entry = data[fault]
-                print(
-                    f"  {domain}/{fault}: identical={entry['identical']} "
-                    f"retries={entry['retries']} "
-                    f"lease_expiries={entry['lease_expiries']} "
-                    f"commits={entry['commits']}"
-                )
-        print(f"chaos report written to {artifact}")
-        return 0
-    raise AssertionError(f"unhandled fabric subcommand {args.fabric_command!r}")
 
 
 def cmd_runs(args) -> int:
@@ -726,7 +595,6 @@ COMMANDS = {
     "type3": cmd_type3,
     "campaign": cmd_campaign,
     "serve": cmd_serve,
-    "fabric": cmd_fabric,
     "runs": cmd_runs,
 }
 

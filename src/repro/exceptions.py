@@ -57,12 +57,6 @@ class SearchError(ReproError):
     """The adaptive gap-search subsystem was misconfigured or overdrawn."""
 
 
-class FabricError(ReproError):
-    """The fault-tolerant analysis fabric hit an unrecoverable condition
-    (a unit quarantined after exhausting its retries, a misconfigured
-    queue, a dead fleet with inline fallback disabled)."""
-
-
 class CampaignInterrupted(ReproError):
     """A campaign was stopped cooperatively at a unit boundary.
 

@@ -1,4 +1,4 @@
-"""Observability: metrics registry, span tracer, fleet aggregation.
+"""Observability: metrics registry, span tracer, report folding.
 
 DESIGN.md §15. The package is dependency-free and obeys one contract
 above all: **uninstrumented runs pay (almost) nothing and produce
@@ -17,11 +17,8 @@ Public surface:
   :func:`deactivate` — bounded structured spans per unit of work.
 * :func:`fold_unit_report` / :func:`fold_campaign_report` — the
   driver-side bridge from finished report dicts to counters.
-* :func:`write_worker_snapshot` / :func:`merged_snapshot` — fabric
-  fleet aggregation.
 """
 
-from repro.obs.fleet import merged_snapshot, write_worker_snapshot
 from repro.obs.fold import fold_campaign_report, fold_unit_report
 from repro.obs.metrics import (
     EXPOSITION_CONTENT_TYPE,
@@ -29,7 +26,6 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.runtime import (
-    METRICS_DIR_ENV,
     OBS_ENV,
     enable_env,
     install,
@@ -41,7 +37,6 @@ from repro.obs.tracing import Tracer, activate, current_tracer, deactivate, span
 
 __all__ = [
     "EXPOSITION_CONTENT_TYPE",
-    "METRICS_DIR_ENV",
     "MetricsRegistry",
     "OBS_ENV",
     "Tracer",
@@ -52,11 +47,9 @@ __all__ = [
     "fold_campaign_report",
     "fold_unit_report",
     "install",
-    "merged_snapshot",
     "registry",
     "render_prometheus",
     "span",
     "tracing_enabled",
     "uninstall",
-    "write_worker_snapshot",
 ]

@@ -1,15 +1,14 @@
 """Fold finished unit/campaign reports into metrics counters.
 
 The campaign driver is the one place every unit report passes through
-regardless of how it was executed — in-process serial, a process pool,
-or the fabric fleet — so it is where the *authoritative* oracle,
-solver, and search totals enter the metrics registry. Folding the
-report (rather than instrumenting every hot path twice) means the
-``/metrics`` totals are exact for all executor modes and can never
-double-count: the live in-process hooks in the oracle/search/solver
-layers deliberately use *different* metric names (batch latency
-histograms, cell refine/prune events, slab engine mix) that no fold
-emits.
+regardless of how it was executed — in-process serial or a process
+pool — so it is where the *authoritative* oracle, solver, and search
+totals enter the metrics registry. Folding the report (rather than
+instrumenting every hot path twice) means the ``/metrics`` totals are
+exact for both executors and can never double-count: the live
+in-process hooks in the oracle/search/solver layers deliberately use
+*different* metric names (batch latency histograms, cell refine/prune
+events, slab engine mix) that no fold emits.
 
 Everything here reads completed report dicts — pure observation, after
 the deterministic content is already sealed.

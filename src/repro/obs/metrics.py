@@ -13,10 +13,9 @@ optional set of labels. The design goals, in order:
   per *batch* or per *unit*, never per point).
 * **snapshot / merge.** :meth:`MetricsRegistry.snapshot` produces a
   JSON-safe dump and :meth:`MetricsRegistry.merge` folds one back in —
-  counters and histograms add, gauges last-write-wins. This is how
-  per-worker metrics from the fabric fleet (each worker process keeps
-  its own registry and spills snapshots to disk,
-  :mod:`repro.obs.fleet`) aggregate into the service's ``/metrics``.
+  counters and histograms add, gauges last-write-wins. The service's
+  ``/metrics`` scrape merges its registry into a throwaway one and adds
+  its live gauges there, so a scrape never mutates what it reads.
 * **valid exposition.** :func:`render_prometheus` emits the Prometheus
   text format (``text/plain; version=0.0.4``): ``# HELP``/``# TYPE``
   headers, escaped label values, ``_bucket``/``_sum``/``_count``
@@ -232,10 +231,8 @@ class MetricsRegistry:
     def merge(self, snapshot: dict) -> None:
         """Fold one :meth:`snapshot` dump into this registry.
 
-        Counters and histogram states add (the cross-process
-        aggregation rule — every source's work counts once); gauges take
-        the incoming value (fleet gauges carry a ``worker`` label, so
-        distinct sources never collide).
+        Counters and histogram states add (every source's work counts
+        once); gauges take the incoming value.
         """
         for name, data in snapshot.items():
             kind = data.get("kind")

@@ -1,8 +1,7 @@
 """The observability switchboard: install a registry, or pay nothing.
 
 The pipeline's instrumentation hooks (oracle engine batches, search
-rounds, slab solves, campaign units, the fabric worker loop) all route
-through this module:
+rounds, slab solves, campaign units) all route through this module:
 
 * :func:`registry` returns the process-wide installed
   :class:`~repro.obs.metrics.MetricsRegistry`, or ``None``. Every hook
@@ -14,14 +13,12 @@ through this module:
 * :func:`tracing_enabled` decides whether a unit of work should record
   spans. It is true when a registry is installed **or** when the
   :data:`OBS_ENV` environment variable is set — the environment is how
-  enablement crosses process boundaries (a ``ProcessExecutor`` pool or
-  the fabric's worker fleet inherit it) without touching unit payloads,
-  whose content-addressed run IDs must stay spelling-independent of
-  observability.
+  enablement crosses process boundaries (a ``ProcessExecutor`` pool
+  inherits it) without touching unit payloads, whose content-addressed
+  run IDs must stay spelling-independent of observability.
 
-Installation is explicit (``repro serve``/``repro fabric serve`` and
-the fabric worker loop install; libraries never do) and idempotent to
-uninstall.
+Installation is explicit (``repro serve`` installs; libraries never do)
+and idempotent to uninstall.
 """
 
 from __future__ import annotations
@@ -42,10 +39,6 @@ __all__ = [
 #: environment variable that enables span tracing across process
 #: boundaries (workers inherit it; payload hashes never see it)
 OBS_ENV = "XPLAIN_OBS"
-
-#: environment variable naming the directory fabric workers spill their
-#: per-worker metric snapshots into (see :mod:`repro.obs.fleet`)
-METRICS_DIR_ENV = "XPLAIN_METRICS_DIR"
 
 _registry: MetricsRegistry | None = None
 

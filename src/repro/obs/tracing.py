@@ -2,11 +2,11 @@
 
 A :class:`Tracer` collects :class:`Span` records — name, wall-clock
 start offset, duration, nesting parent, and a small attribute dict —
-for one unit of work (a campaign, a campaign unit, a fabric-worker
-claim). Spans are *timing* data: they ride inside a report's
-``"timing"`` block, which :func:`repro.parallel.campaign.
-deterministic_view` strips, so tracing can never perturb the
-bit-identity contracts (workers=1 vs N, instrumented vs not).
+for one unit of work (a campaign or a campaign unit). Spans are
+*timing* data: they ride inside a report's ``"timing"`` block, which
+:func:`repro.parallel.campaign.deterministic_view` strips, so tracing
+can never perturb the bit-identity contracts (workers=1 vs N,
+instrumented vs not).
 
 Activation is explicit and thread-local. Code under instrumentation
 calls :func:`span` — a context manager that is a shared no-op when no

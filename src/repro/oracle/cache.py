@@ -62,10 +62,15 @@ class GapCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def key(self, x: np.ndarray) -> tuple:
-        """The grid cell of one input vector."""
-        cell = np.round(np.asarray(x, dtype=float) / self._quantum)
-        return tuple(int(v) for v in cell)
+    def keys(self, xs: np.ndarray) -> list[tuple]:
+        """The grid cell of each row of ``xs``, as a tuple of Python ints.
+
+        One vectorized rounding for the whole batch. The cells stay
+        Python ints, not int64: a coordinate past 9.2e18 quanta would
+        wrap in a fixed-width cast.
+        """
+        cells = np.round(np.asarray(xs, dtype=float) / self._quantum)
+        return [tuple(map(int, row)) for row in cells.tolist()]
 
     def get(self, key: tuple) -> Entry | None:
         entry = self._entries.get(key)

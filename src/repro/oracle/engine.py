@@ -69,7 +69,7 @@ class OracleEngine:
         # would serve it, so grouping never changes the counters
         repeats: list[tuple[int, int]] = []
         if self.cache is not None:
-            keys = [self.cache.key(x) for x in xs]
+            keys = self.cache.keys(xs)
             miss_indices: list[int] = []
             pending: dict[tuple, int] = {}
             for i, key in enumerate(keys):

@@ -10,6 +10,7 @@ These factories are tiny analytic problems (no LP solves) used by
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 
@@ -119,19 +120,40 @@ def crashing_problem(after: int = 0) -> AnalyzedProblem:
     return problem
 
 
-def dying_problem() -> AnalyzedProblem:
-    """A problem whose oracle kills its whole process (hard worker death)."""
+def dying_problem(
+    heal_path: str | None = None, go_path: str | None = None
+) -> AnalyzedProblem:
+    """A band problem whose oracle kills its whole process (hard worker death).
 
-    def evaluate(x: np.ndarray) -> GapSample:
+    The oracle dies only while ``heal_path`` is absent (always, when it
+    is None), and with a ``go_path`` it first waits (up to a minute) for
+    that file to exist, so a test decides when the worker dies. Once
+    healed it answers like :func:`band_problem`.
+    """
+    problem = band_problem()
+    band_batch = problem.evaluate_batch
+
+    def die_unless_healed() -> None:
+        if heal_path is not None and os.path.exists(heal_path):
+            return
+        deadline = time.monotonic() + 60.0
+        while go_path is not None and not os.path.exists(go_path):
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
         os._exit(17)
 
-    problem = AnalyzedProblem(
-        name="dying",
-        input_names=["x0"],
-        input_box=Box.from_arrays(np.zeros(1), np.ones(1)),
-        evaluate=evaluate,
-    )
+    def evaluate(x: np.ndarray) -> GapSample:
+        return evaluate_batch(np.asarray(x, dtype=float)[None, :]).sample(0)
+
+    def evaluate_batch(xs: np.ndarray) -> GapSamples:
+        die_unless_healed()
+        return band_batch(xs)
+
+    problem.evaluate = evaluate
+    problem.evaluate_batch = evaluate_batch
     problem.spec = ProblemSpec(
-        factory="repro.parallel._testing:dying_problem", kwargs={}
+        factory="repro.parallel._testing:dying_problem",
+        kwargs={"heal_path": heal_path, "go_path": go_path},
     )
     return problem

@@ -435,7 +435,6 @@ def run_campaign(
     workers: int = 1,
     out_dir: str | Path | None = None,
     store=None,
-    executor=None,
     should_stop=None,
     metrics=None,
 ) -> dict:
@@ -454,14 +453,14 @@ def run_campaign(
     campaign's report bit-identical to an uninterrupted one outside the
     ``"timing"`` blocks.
 
-    ``executor`` overrides the worker pool with any object speaking the
-    :class:`~repro.parallel.executor.Executor` protocol (e.g. a
-    :class:`~repro.fabric.executor.FabricExecutor` over a shared queue);
-    a passed-in executor is left open for the caller to reuse, while the
-    internally built pool is always closed. ``should_stop`` is a
-    zero-argument callable checked between persisted units: when it goes
-    true, the campaign sets its store status back to ``"pending"`` and
-    raises :class:`~repro.exceptions.CampaignInterrupted` — every unit
+    Jobs run on a :class:`~repro.parallel.executor.SerialExecutor` when
+    ``workers`` is 1 and on a :class:`~repro.parallel.executor.
+    ProcessExecutor` of that width otherwise. A worker process that dies
+    fails the campaign with an :class:`~repro.exceptions.AnalyzerError`;
+    the units persisted before it stay in the store. ``should_stop`` is
+    a zero-argument callable checked between persisted units: when it
+    goes true, the campaign sets its store status back to ``"pending"``
+    and raises :class:`~repro.exceptions.CampaignInterrupted` — every unit
     finished before the stop is already persisted, so a restart resumes
     instead of recomputing (the service's graceful-drain path).
 
@@ -469,8 +468,8 @@ def run_campaign(
     MetricsRegistry`; it defaults to the process-installed one (usually
     ``None``). The driver folds every finished unit report into it —
     the one place authoritative oracle/solver/search totals enter the
-    metrics, identically for serial, pooled, and fabric execution.
-    Folding observes completed reports only, so it cannot perturb them.
+    metrics, identically for serial and pooled execution. Folding
+    observes completed reports only, so it cannot perturb them.
     """
     from repro.store.ids import campaign_id_for, run_id_for
 
@@ -511,9 +510,7 @@ def run_campaign(
         pending = list(range(len(payloads)))
 
     units = [CampaignUnit(payloads[index]) for index in pending]
-    owns_executor = executor is None
-    if owns_executor:
-        executor = ProcessExecutor(workers) if workers > 1 else SerialExecutor()
+    executor = ProcessExecutor(workers) if workers > 1 else SerialExecutor()
     completed = resumed
     # The driver gets its own campaign tracer (units carry theirs inside
     # their "timing" blocks); spans attach to the campaign report's
@@ -551,8 +548,7 @@ def run_campaign(
     finally:
         if tracer is not None:
             deactivate()
-        if owns_executor:
-            executor.close()
+        executor.close()
 
     totals = OracleStats()
     for result in results:

@@ -14,13 +14,12 @@ from repro.service.http import (
     make_server,
     serve,
 )
-from repro.service.service import SERVICE_EXECUTORS, AnalysisService
+from repro.service.service import AnalysisService
 
 __all__ = [
     "AnalysisService",
     "DEFAULT_PORT",
     "MAX_BODY_BYTES",
-    "SERVICE_EXECUTORS",
     "make_server",
     "serve",
 ]

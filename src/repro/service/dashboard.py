@@ -6,16 +6,15 @@ frameworks), so it works on an air-gapped box exactly like the rest of
 the stdlib-only service. Everything it shows comes from polling the
 existing JSON API:
 
-* ``/healthz``             — the header strip (version, executor, uptime);
+* ``/healthz``             — the header strip (version, workers, backlog,
+  uptime);
 * ``/campaigns``           — the campaign table;
 * ``/campaigns/<id>``      — live per-unit progress for the selected one;
 * ``/runs/<id>/report``    — the per-domain gap heatmap (subspace region
   boxes over the first two input dimensions, colored by mean gap);
 * ``/runs/<id>/search``    — search-trace playback (a round slider over
   the recorded :class:`~repro.search.trace.SearchTrace`: frontier /
-  refined / pruned cell counts and ledger spend per round);
-* ``/fabric``              — the fleet panel (404 in local mode renders
-  as a note instead of an error).
+  refined / pruned cell counts and ledger spend per round).
 
 The page is pure observation: it only ever issues GETs.
 """
@@ -82,10 +81,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
     <div id="units" class="note">select a campaign</div>
   </section>
   <section>
-    <h2>Fleet</h2>
-    <div id="fleet" class="note">loading&hellip;</div>
-  </section>
-  <section>
     <h2>Gap heatmap <span id="heatmap-run" class="note"></span></h2>
     <canvas id="heatmap" width="520" height="280"></canvas>
     <div id="heatmap-info" class="note">select a unit</div>
@@ -121,7 +116,8 @@ async function refreshHealth() {
     const h = await fetchJSON("/healthz");
     $("health").innerHTML =
       `<span>v</span>${esc(h.version)} &nbsp; ` +
-      `<span>executor</span> ${esc(h.executor)} &nbsp; ` +
+      `<span>workers</span> ${esc(h.workers)} &nbsp; ` +
+      `<span>backlog</span> ${esc(h.backlog)} &nbsp; ` +
       `<span>uptime</span> ${Math.round(h.uptime_seconds)}s &nbsp; ` +
       `<span>store</span> ${esc(h.store)} &nbsp; ` +
       `<span>worker</span> ${h.worker_alive ? "alive" : "down"}`;
@@ -293,33 +289,9 @@ function drawRound(i) {
   });
 }
 
-// ---- fleet ----------------------------------------------------------------
-async function refreshFleet() {
-  try {
-    const f = await fetchJSON("/fabric");
-    const units = Object.entries(f.units || {})
-      .map(([k, v]) => `${k}: ${v}`).join(", ");
-    const fleet = f.fleet || {};
-    $("fleet").innerHTML =
-      `<div>units &mdash; ${esc(units)}</div>` +
-      `<div>leases ${(f.leases || []).length}, ` +
-      `quarantined ${(f.quarantined || []).length}, ` +
-      `backlog ${f.backlog}</div>` +
-      `<div>fleet &mdash; ${fleet.alive || 0}/${fleet.workers || 0} alive, ` +
-      `${fleet.restarts || 0} restarts</div>` +
-      `<div class="note">lease expiries ${f.counters.lease_expiries}, ` +
-      `retries ${f.counters.retries}, ` +
-      `late commits ${f.counters.late_commits}</div>`;
-  } catch (e) {
-    $("fleet").textContent = e.status === 404
-      ? "local executor (no fabric fleet) — campaigns run in-process"
-      : "fabric status unreachable";
-  }
-}
-
 // ---- poll loop ------------------------------------------------------------
 function tick() {
-  refreshHealth(); refreshCampaigns(); refreshFleet();
+  refreshHealth(); refreshCampaigns();
   if (state.campaign) refreshUnits();
 }
 tick();

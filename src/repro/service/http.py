@@ -4,8 +4,9 @@ Endpoints (all JSON):
 
 * ``POST /campaigns``            — body is a campaign spec; returns
   ``{"campaign_id", "status", "num_jobs"}`` (202 while queued/running,
-  200 when the content-addressed campaign already completed);
-  ``?workers=N`` overrides the service's executor width for this run;
+  200 when the content-addressed campaign already completed). It takes
+  no query parameters: every campaign runs at the service's own
+  ``--workers`` width;
 * ``GET  /campaigns``            — all stored campaigns;
 * ``GET  /campaigns/<id>``       — one campaign's status, per-unit run
   states, and (once done) its aggregate report;
@@ -15,22 +16,22 @@ Endpoints (all JSON):
   budget, ledger, the per-round :class:`~repro.search.trace.SearchTrace`);
 * ``GET  /domains``              — the registered domain plugins (what a
   submitted spec's ``{"domain": ...}`` problem blocks may name);
-* ``GET  /fabric``               — lease-queue and worker-fleet health
-  (unit states, counters, live leases, quarantined units, restarts);
-  404 when the service runs in local mode;
-* ``GET  /healthz``              — liveness, version, executor mode,
+* ``GET  /healthz``              — liveness, version, worker count,
   uptime, and store reachability in one body;
 * ``GET  /version``              — ``repro.__version__``;
 * ``GET  /metrics``              — Prometheus text exposition (oracle,
-  solver, search, fabric, and HTTP metrics; DESIGN.md §15). Scrapes are
+  solver, search, service, and HTTP metrics; DESIGN.md §15). Scrapes are
   read-only: they render a merged snapshot and mutate nothing;
 * ``GET  /dashboard``            — the self-contained operator dashboard
   (one HTML page polling this JSON API; no external assets).
 
-Error discipline: every failure is a JSON body. Malformed JSON and bad
-parameters are 400, unknown paths 404, unsupported methods 405 (with an
-``Allow`` header), bodies over :data:`MAX_BODY_BYTES` 413, and a full
-submit backlog (``max_pending``) 429 with a ``Retry-After`` hint.
+Error discipline: every failure is a JSON body. A body that is not
+UTF-8 JSON, a spec that fails validation or nests deeper than
+:data:`MAX_SPEC_DEPTH`, and any query parameter on ``POST /campaigns``
+are 400; unknown paths 404, unsupported methods 405 (with an ``Allow``
+header), bodies over :data:`MAX_BODY_BYTES` 413, and a full submit
+backlog (``max_pending``) 429 with a ``Retry-After`` hint. A rejected
+submit registers nothing.
 
 The server is a ``ThreadingHTTPServer``: requests are served on their
 own threads and only ever touch the store through per-operation SQLite
@@ -44,13 +45,12 @@ import json
 import logging
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 import repro
 from repro.exceptions import AnalyzerError, ServiceBusy
 from repro.obs import (
     EXPOSITION_CONTENT_TYPE,
-    METRICS_DIR_ENV,
     enable_env,
     install,
     render_prometheus,
@@ -69,8 +69,27 @@ DEFAULT_PORT = 8347
 #: before the JSON parser chews on it
 MAX_BODY_BYTES = 2 * 1024 * 1024
 
+#: nesting bound for a campaign spec, which is a handful of levels deep:
+#: a body near the interpreter's recursion limit parses, then fails
+#: deeper down (hashing, the store) as a RecursionError
+MAX_SPEC_DEPTH = 64
+
 #: seconds a 429 response suggests waiting before re-submitting
 RETRY_AFTER_SECONDS = 5
+
+
+def _depth(value) -> int:
+    """How many levels of arrays and objects ``value`` nests (a scalar is 1)."""
+    depth, level = 0, [value]
+    while level:
+        depth += 1
+        level = [
+            child
+            for item in level
+            if isinstance(item, (dict, list))
+            for child in (item.values() if isinstance(item, dict) else item)
+        ]
+    return depth
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -209,16 +228,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 plugins = registry().plugins()
                 payload = {"domains": [p.to_dict() for p in plugins]}
                 self._send(200, payload)
-            elif parts == ["fabric"]:
-                status = self.service.fabric_status()
-                if status is None:
-                    self._error(
-                        404,
-                        "the service is running the local executor; "
-                        "start it with executor='fabric' for fleet status",
-                    )
-                else:
-                    self._send(200, status)
             elif parts == ["campaigns"]:
                 campaigns = self.service.store.list_campaigns()
                 self._send(200, {"campaigns": campaigns})
@@ -252,7 +261,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         "healthz",
         "version",
         "domains",
-        "fabric",
         "runs",
         "metrics",
         "dashboard",
@@ -284,7 +292,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
             try:
                 length = int(self.headers.get("Content-Length", 0))
             except ValueError:
-                self._error(400, "Content-Length must be an integer")
+                length = -1
+            if length < 0:
+                self._error(400, "Content-Length must be an integer >= 0")
                 return
             if length > MAX_BODY_BYTES:
                 # Drain what the client is still sending (bounded), so
@@ -304,27 +314,30 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 )
                 return
             raw = self.rfile.read(length)
+            if url.query:
+                self._error(
+                    400,
+                    "POST /campaigns takes no query parameters, got "
+                    f"{url.query!r}; campaigns run at the service's --workers",
+                )
+                return
             try:
                 spec_data = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # Not UTF-8 (UnicodeDecodeError), not JSON
+                # (JSONDecodeError), or nested past the parser's depth.
                 self._error(400, f"request body is not valid JSON: {exc}")
                 return
             if not isinstance(spec_data, dict):
                 self._error(400, "campaign spec must be a JSON object")
                 return
-            workers = None
-            query = parse_qs(url.query)
-            if "workers" in query:
-                try:
-                    workers = int(query["workers"][0])
-                except ValueError:
-                    self._error(400, "workers must be an integer")
-                    return
-                if workers < 1:
-                    self._error(400, "workers must be >= 1")
-                    return
+            if _depth(spec_data) > MAX_SPEC_DEPTH:
+                self._error(
+                    400, f"campaign spec nests deeper than {MAX_SPEC_DEPTH} levels"
+                )
+                return
             try:
-                submitted = self.service.submit(spec_data, workers=workers)
+                submitted = self.service.submit(spec_data)
             except ServiceBusy as exc:
                 self._error(
                     429,
@@ -361,15 +374,10 @@ def serve(
     port: int = DEFAULT_PORT,
     workers: int = 1,
     retention: int = 0,
-    executor: str = "local",
     max_pending: int = 0,
-    lease_seconds: float = 10.0,
     log_level: str = "warning",
 ) -> None:
-    """Run the service until interrupted (``repro serve`` / ``repro
-    fabric serve`` entry point)."""
-    import os
-
+    """Run the service until interrupted (the ``repro serve`` entry point)."""
     level = getattr(logging, log_level.upper(), None)
     if not isinstance(level, int):
         raise AnalyzerError(
@@ -385,25 +393,20 @@ def serve(
         store_path,
         workers=workers,
         retention=retention,
-        executor=executor,
         max_pending=max_pending,
-        lease_seconds=lease_seconds,
     )
     # The serve process is where observability goes global: the
     # service's registry becomes the process registry (pipeline hooks
-    # feed it), tracing turns on for this process and its children, and
-    # fabric workers learn where to spill their metric snapshots —
-    # everything via the environment, nothing via unit payloads.
+    # feed it), and tracing turns on for this process and its pool
+    # workers — via the environment, never via unit payloads.
     install(service.metrics)
     enable_env()
-    os.environ[METRICS_DIR_ENV] = str(service.metrics_dir)
     service.start()
     server = make_server(service, host=host, port=port)
     actual_host, actual_port = server.server_address[:2]
     print(
         f"xplain analysis service v{repro.__version__} on "
-        f"http://{actual_host}:{actual_port} (store: {service.store.db_path}, "
-        f"executor: {executor})"
+        f"http://{actual_host}:{actual_port} (store: {service.store.db_path})"
     )
     try:
         server.serve_forever()

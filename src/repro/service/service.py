@@ -13,13 +13,11 @@ address of the planned units, so re-submitting a spec whose campaign is
 ``failed`` or interrupted one re-queues it (completed units load from
 the store and are skipped).
 
-Two execution modes (DESIGN.md §13): ``executor="local"`` runs each
-campaign's units through the classic serial/process pool, while
-``executor="fabric"`` stands up a lease queue + supervised worker fleet
-next to the store and pushes every campaign through a
-:class:`~repro.fabric.executor.FabricExecutor` — heartbeats, retry with
-backoff, poison-unit quarantine, and graceful degradation to in-driver
-execution when the whole fleet is down. ``stop()`` drains rather than
+Every campaign runs at the service's own ``workers`` width, on the
+serial executor (``workers=1``) or a process pool (DESIGN.md §9); a
+client cannot choose it. A worker process that dies fails its campaign
+with a clean :class:`~repro.exceptions.AnalyzerError`, and re-submitting
+the spec resumes from the store. ``stop()`` drains rather than
 abandons: the campaign checkpoint after the in-flight unit persists,
 the campaign flips back to ``"pending"``, and the next ``start()``
 requeues it to resume from the store.
@@ -34,16 +32,13 @@ import traceback
 from pathlib import Path
 
 from repro.exceptions import AnalyzerError, CampaignInterrupted, ServiceBusy
-from repro.obs import MetricsRegistry, merged_snapshot
+from repro.obs import MetricsRegistry
 from repro.parallel.campaign import (
     CampaignSpec,
     plan_campaign,
     run_campaign,
 )
 from repro.store import RunStore, campaign_id_for, run_id_for
-
-#: legal execution modes for the service
-SERVICE_EXECUTORS = ("local", "fabric")
 
 
 class AnalysisService:
@@ -54,9 +49,7 @@ class AnalysisService:
         store: RunStore | str | Path,
         workers: int = 1,
         retention: int = 0,
-        executor: str = "local",
         max_pending: int = 0,
-        lease_seconds: float = 10.0,
     ) -> None:
         if not isinstance(workers, int) or workers < 1:
             raise AnalyzerError(
@@ -66,11 +59,6 @@ class AnalysisService:
             raise AnalyzerError(
                 f"service retention must be an integer >= 0, got {retention!r}"
             )
-        if executor not in SERVICE_EXECUTORS:
-            raise AnalyzerError(
-                f"unknown service executor {executor!r}; "
-                f"expected one of {SERVICE_EXECUTORS}"
-            )
         if not isinstance(max_pending, int) or max_pending < 0:
             raise AnalyzerError(
                 f"service max_pending must be an integer >= 0 "
@@ -79,26 +67,19 @@ class AnalysisService:
         self.store = store if isinstance(store, RunStore) else RunStore(store)
         self.workers = workers
         self.retention = retention
-        self.executor = executor
         self.max_pending = max_pending
-        self.lease_seconds = lease_seconds
+        #: campaign IDs waiting for the worker thread (None wakes it)
         self._queue: queue.Queue = queue.Queue()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         #: campaign IDs queued or executing right now (submit dedupe)
         self._active: set[str] = set()
         self._lock = threading.Lock()
-        #: fabric infrastructure (executor="fabric" only), built on start()
-        self._fabric_queue = None
-        self._fabric_supervisor = None
         #: the service's own metrics registry — deliberately *not* the
         #: process-global one, so embedding a service (tests, notebooks)
         #: never turns instrumentation on for unrelated code in the same
         #: process. The CLI ``serve`` path installs it globally too.
         self.metrics = MetricsRegistry()
-        #: where fabric workers spill per-worker metric snapshots (the
-        #: CLI exports this as XPLAIN_METRICS_DIR before the fleet forks)
-        self.metrics_dir = self.store.path / "fabric" / "metrics"
         self.started_at = time.time()
 
     # -- lifecycle ----------------------------------------------------------
@@ -109,30 +90,12 @@ class AnalysisService:
             # A stop() that timed out, whose worker has since exited.
             self._thread = None
         self._stop.clear()
-        if self.executor == "fabric":
-            self._start_fabric()
         self._thread = threading.Thread(
             target=self._worker, name="xplain-service-worker", daemon=True
         )
         self._thread.start()
         self._requeue_incomplete()
         return self
-
-    def _start_fabric(self) -> None:
-        """Bring up (or re-wake) the shared lease queue and worker fleet."""
-        from repro.fabric.queue import WorkQueue
-        from repro.fabric.supervisor import FabricSupervisor
-
-        fabric_dir = self.store.path / "fabric"
-        if self._fabric_queue is None:
-            self._fabric_queue = WorkQueue(fabric_dir)
-        if self._fabric_supervisor is None:
-            self._fabric_supervisor = FabricSupervisor(
-                fabric_dir,
-                workers=self.workers,
-                lease_seconds=self.lease_seconds,
-            )
-        self._fabric_supervisor.start()
 
     def _requeue_incomplete(self) -> None:
         """Re-enqueue campaigns a previous process left unfinished.
@@ -150,7 +113,7 @@ class AnalysisService:
                 if not queued:
                     self._active.add(row["campaign_id"])
             if not queued:
-                self._queue.put((row["campaign_id"], self.workers))
+                self._queue.put(row["campaign_id"])
 
     def stop(self, timeout: float = 10.0) -> bool:
         """Drain the worker and wait up to ``timeout`` for it to exit.
@@ -167,7 +130,6 @@ class AnalysisService:
         ``stop()`` again to finish the join.
         """
         if self._thread is None:
-            self._stop_fabric(timeout)
             return True
         self._stop.set()
         self._queue.put(None)  # wake the worker
@@ -175,19 +137,14 @@ class AnalysisService:
         if self._thread.is_alive():
             return False
         self._thread = None
-        self._stop_fabric(timeout)
         return True
-
-    def _stop_fabric(self, timeout: float) -> None:
-        if self._fabric_supervisor is not None:
-            self._fabric_supervisor.stop(timeout=timeout)
 
     @property
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
     # -- submission ---------------------------------------------------------
-    def submit(self, spec_data: dict, workers: int | None = None) -> dict:
+    def submit(self, spec_data: dict) -> dict:
         """Validate, register, and queue one campaign spec.
 
         Returns ``{"campaign_id", "status", "num_jobs"}``. Raises
@@ -237,7 +194,7 @@ class AnalysisService:
                 if status == "failed":
                     self.store.set_campaign_status(campaign_id, "pending")
                     status = "pending"
-                self._queue.put((campaign_id, workers or self.workers))
+                self._queue.put(campaign_id)
         return {
             "campaign_id": campaign_id,
             "status": status,
@@ -280,24 +237,11 @@ class AnalysisService:
             "trace": None,
         }
 
-    def fabric_status(self) -> dict | None:
-        """Queue + fleet health for ``GET /fabric``; None in local mode."""
-        if self.executor != "fabric" or self._fabric_queue is None:
-            return None
-        status = self._fabric_queue.status()
-        if self._fabric_supervisor is not None:
-            status["fleet"] = self._fabric_supervisor.status()
-        status["executor"] = "fabric"
-        with self._lock:
-            status["backlog"] = len(self._active)
-        status["max_pending"] = self.max_pending
-        return status
-
     def health_info(self) -> dict:
         """The ``GET /healthz`` body: liveness plus deploy identity.
 
         One round trip tells an operator what is running (version,
-        executor mode), for how long, and whether the store behind it
+        worker count), for how long, and whether the store behind it
         answers queries.
         """
         import repro
@@ -313,7 +257,6 @@ class AnalysisService:
             "status": "ok" if self.running and store_status == "ok" else "degraded",
             "worker_alive": self.running,
             "version": repro.__version__,
-            "executor": self.executor,
             "workers": self.workers,
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "store": store_status,
@@ -322,93 +265,42 @@ class AnalysisService:
 
     # -- metrics ------------------------------------------------------------
     def metrics_snapshot(self) -> dict:
-        """Everything ``GET /metrics`` exposes, as one merged snapshot.
+        """Everything ``GET /metrics`` exposes, as one snapshot.
 
-        The merge happens into a throwaway registry every scrape —
-        worker spill files are *cumulative*, so folding them into the
-        service's own accumulating registry would double-count. Scrapes
-        are therefore read-only: two back-to-back scrapes with no work
-        in between render identical exposition text.
+        The service's counters are copied into a throwaway registry and
+        the live gauges are set there, so scrapes are read-only: two
+        back-to-back scrapes with no work in between render the same
+        work counters.
         """
-        gauges = MetricsRegistry()
-        gauges.gauge_set(
+        merged = MetricsRegistry()
+        merged.merge(self.metrics.snapshot())
+        merged.gauge_set(
             "xplain_service_uptime_seconds",
             time.time() - self.started_at,
             help="seconds since this service process started",
         )
         with self._lock:
             backlog = len(self._active)
-        gauges.gauge_set(
+        merged.gauge_set(
             "xplain_service_backlog",
             backlog,
             help="campaigns queued or running right now",
         )
-        gauges.gauge_set(
+        merged.gauge_set(
             "xplain_service_worker_alive",
             1.0 if self.running else 0.0,
             help="1 when the campaign worker thread is alive",
         )
-        if self.executor == "fabric" and self._fabric_queue is not None:
-            self._fabric_gauges(gauges)
-        merged = MetricsRegistry()
-        merged.merge(self.metrics.snapshot())
-        merged.merge(gauges.snapshot())
-        return merged_snapshot(
-            merged, self.metrics_dir if self.metrics_dir.is_dir() else None
-        )
-
-    def _fabric_gauges(self, gauges: MetricsRegistry) -> None:
-        """Fabric queue/fleet state, synthesized fresh per scrape."""
-        try:
-            status = self._fabric_queue.status()
-        except Exception:  # noqa: BLE001 - a scrape must not 500
-            return
-        for unit_status, count in status.get("units", {}).items():
-            gauges.gauge_set(
-                "xplain_fabric_units",
-                count,
-                help="fabric queue units by status",
-                status=unit_status,
-            )
-        for event, value in status.get("counters", {}).items():
-            gauges.gauge_set(
-                "xplain_fabric_events",
-                value,
-                help="cumulative fabric queue events (queue counters table)",
-                event=event,
-            )
-        gauges.gauge_set(
-            "xplain_fabric_leases",
-            len(status.get("leases", [])),
-            help="units currently leased to workers",
-        )
-        gauges.gauge_set(
-            "xplain_fabric_quarantined",
-            len(status.get("quarantined", [])),
-            help="poison units quarantined after bounded retries",
-        )
-        if self._fabric_supervisor is not None:
-            fleet = self._fabric_supervisor.status()
-            gauges.gauge_set(
-                "xplain_fabric_fleet_alive",
-                fleet.get("alive", 0),
-                help="fabric worker processes currently alive",
-            )
-            gauges.gauge_set(
-                "xplain_fabric_fleet_restarts",
-                fleet.get("restarts", 0),
-                help="fabric worker processes restarted by the supervisor",
-            )
+        return merged.snapshot()
 
     # -- the worker ---------------------------------------------------------
     def _worker(self) -> None:
         while not self._stop.is_set():
-            item = self._queue.get()
-            if item is None:
+            campaign_id = self._queue.get()
+            if campaign_id is None:
                 continue
-            campaign_id, workers = item
             try:
-                self._execute(campaign_id, workers)
+                self._execute(campaign_id)
             except CampaignInterrupted:
                 # stop() drained us mid-campaign: run_campaign already
                 # persisted every finished unit and reset the campaign
@@ -429,26 +321,19 @@ class AnalysisService:
                     self._active.discard(campaign_id)
                 self._queue.task_done()
 
-    def _execute(self, campaign_id: str, workers: int) -> None:
+    def _execute(self, campaign_id: str) -> None:
         row = self.store.campaign(campaign_id)
         if row is None:
             raise AnalyzerError(f"queued campaign {campaign_id!r} not in store")
         if row["status"] == "done":
             return
-        spec = CampaignSpec.from_dict(row["spec"])
-        executor = self._make_campaign_executor(campaign_id)
-        try:
-            run_campaign(
-                spec,
-                workers=workers,
-                store=self.store,
-                executor=executor,
-                should_stop=self._stop.is_set,
-                metrics=self.metrics,
-            )
-        finally:
-            if executor is not None:
-                executor.close()
+        run_campaign(
+            CampaignSpec.from_dict(row["spec"]),
+            workers=self.workers,
+            store=self.store,
+            should_stop=self._stop.is_set,
+            metrics=self.metrics,
+        )
         if self.retention > 0:
             try:
                 self.store.gc(keep=self.retention)
@@ -457,16 +342,3 @@ class AnalysisService:
                 # timeout against a concurrent CLI) must not flip the
                 # just-completed campaign to failed.
                 traceback.print_exc()
-
-    def _make_campaign_executor(self, campaign_id: str):
-        """A FabricExecutor over the shared queue, or None for local mode."""
-        if self.executor != "fabric" or self._fabric_queue is None:
-            return None
-        from repro.fabric.executor import FabricExecutor
-
-        return FabricExecutor(
-            self._fabric_queue,
-            supervisor=self._fabric_supervisor,
-            group_id=campaign_id,
-            lease_seconds=self.lease_seconds,
-        )

@@ -1,10 +1,10 @@
-"""SQLite plumbing shared by the run store and the fabric queue.
+"""SQLite plumbing for the run store.
 
 One database file (``xplain.sqlite`` inside the store directory) holds
 every run-store table. WAL journaling plus a busy timeout make the
 single file safe for the access pattern the system actually has — the
 service's worker thread writing runs and HTTP reader threads reading
-them — without a server process.
+them, and a CLI campaign sharing the store — without a server process.
 """
 
 from __future__ import annotations
@@ -64,33 +64,23 @@ def store_db_path(path: str | Path) -> Path:
     return path / DB_NAME
 
 
-def open_database(db_path: str | Path) -> sqlite3.Connection:
-    """Open one SQLite file with the store's concurrency pragmas.
+def connect(path: str | Path, init: bool = True) -> sqlite3.Connection:
+    """Open (creating if needed) the store database at ``path``.
 
-    Shared plumbing for every database this package owns (the run
-    store's ``xplain.sqlite``, the fabric's ``fabric.sqlite``): WAL
-    journaling, relaxed-but-durable sync, and a generous busy timeout so
-    concurrent writers (service threads, worker processes) queue instead
-    of failing.
+    WAL journaling, relaxed-but-durable sync, and a generous busy
+    timeout let concurrent writers (service threads, a CLI campaign on
+    the same store) queue instead of failing. ``init=False`` skips the
+    schema DDL + version check for callers that already initialized
+    this store (per-operation connections on a hot path); the database
+    file must then exist.
     """
-    db_path = Path(db_path)
+    db_path = store_db_path(path)
     db_path.parent.mkdir(parents=True, exist_ok=True)
     conn = sqlite3.connect(db_path, timeout=30.0)
     conn.row_factory = sqlite3.Row
     conn.execute("PRAGMA journal_mode=WAL")
     conn.execute("PRAGMA synchronous=NORMAL")
     conn.execute("PRAGMA busy_timeout=30000")
-    return conn
-
-
-def connect(path: str | Path, init: bool = True) -> sqlite3.Connection:
-    """Open (creating if needed) the store database at ``path``.
-
-    ``init=False`` skips the schema DDL + version check for callers
-    that already initialized this store (per-operation connections on a
-    hot path); the database file must then exist.
-    """
-    conn = open_database(store_db_path(path))
     if init:
         _init_schema(conn)
     return conn

@@ -95,8 +95,6 @@ class TestParser:
         for argv in (
             ["campaign", "spec.json"],
             ["serve", "--store", "s"],
-            ["fabric", "serve", "--store", "s"],
-            ["fabric", "chaos-smoke", "--out", "o"],
         ):
             args = build_parser().parse_args(argv + ["--workers", "3"])
             assert args.workers == 3
@@ -146,20 +144,33 @@ class TestParser:
         assert args.port == 9001
         assert args.workers == 2
         assert args.retention == 0
+        assert args.max_pending == 0
 
-    def test_serve_requires_store(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve"])
-
-    @pytest.mark.parametrize("command", [["serve"], ["fabric", "serve"]])
+    @pytest.mark.parametrize("command", [["serve"]])
     def test_serve_commands_share_options(self, command):
         args = build_parser().parse_args(
             command
             + ["--store", "s", "--host", "0.0.0.0", "--port", "0"]
             + ["--retention", "3", "--log-level", "info", "--workers", "2"]
+            + ["--max-pending", "4"]
         )
         assert (args.store, args.host, args.port) == ("s", "0.0.0.0", 0)
         assert (args.retention, args.log_level, args.workers) == (3, "info", 2)
+        assert args.max_pending == 4
+
+    def test_serve_passes_its_options_to_the_service(self, monkeypatch):
+        import repro.service
+
+        seen = {}
+        monkeypatch.setattr(
+            repro.service, "serve", lambda store, **kwargs: seen.update(kwargs)
+        )
+        main(["serve", "--store", "s", "--workers", "2", "--max-pending", "3"])
+        assert (seen["workers"], seen["max_pending"]) == (2, 3)
+
+    def test_serve_requires_store(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve"])
 
     def test_runs_subcommands(self):
         args = build_parser().parse_args(["runs", "list", "--store", "s"])

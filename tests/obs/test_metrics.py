@@ -1,4 +1,4 @@
-"""MetricsRegistry: instruments, snapshot/merge, exposition, fleet files."""
+"""MetricsRegistry: instruments, snapshot/merge, exposition."""
 
 import math
 import threading
@@ -6,11 +6,7 @@ import threading
 import pytest
 
 from promtext import parse, sample
-from repro.obs import (
-    MetricsRegistry,
-    merged_snapshot,
-    write_worker_snapshot,
-)
+from repro.obs import MetricsRegistry
 
 
 class TestInstruments:
@@ -144,33 +140,3 @@ class TestExposition:
         reg.gauge_set("g", math.inf)
         assert "g +Inf" in reg.render()
 
-
-class TestFleetFiles:
-    def test_worker_snapshots_merge_without_double_count(self, tmp_path):
-        base = MetricsRegistry()
-        base.counter_inc("c_total", 1)
-        worker = MetricsRegistry()
-        worker.counter_inc("c_total", 10, worker="w0")
-        write_worker_snapshot(tmp_path, "w0", worker)
-        # cumulative spill: the worker rewrites its whole life each time
-        worker.counter_inc("c_total", 5, worker="w0")
-        write_worker_snapshot(tmp_path, "w0", worker)
-
-        merged = merged_snapshot(base, tmp_path)
-        assert merged["c_total"]["samples"][""] == 1
-        assert merged["c_total"]["samples"]['{"worker":"w0"}'] == 15
-        # scrape-time merge never mutates the base registry
-        assert base.snapshot()["c_total"]["samples"][""] == 1
-
-    def test_torn_files_are_skipped(self, tmp_path):
-        (tmp_path / "broken.json").write_text("{not json")
-        base = MetricsRegistry()
-        base.counter_inc("c_total", 2)
-        merged = merged_snapshot(base, tmp_path)
-        assert merged["c_total"]["samples"][""] == 2
-
-    def test_missing_directory_is_fine(self, tmp_path):
-        base = MetricsRegistry()
-        base.counter_inc("c_total", 2)
-        merged = merged_snapshot(base, tmp_path / "nope")
-        assert merged["c_total"]["samples"][""] == 2

@@ -37,5 +37,20 @@ class TestGapCacheLru:
     def test_key_quantization_unchanged(self):
         cache = GapCache(BOX)
         x = np.array([0.5, 0.25])
-        assert cache.key(x) == cache.key(x + 1e-12)
-        assert cache.key(x) != cache.key(x + 1e-6)
+        key, near, far = cache.keys(np.array([x, x + 1e-12, x + 1e-6]))
+        assert key == near
+        assert key != far
+
+    def test_batch_keys_equal_one_row_at_a_time(self):
+        # The batch rounding must give the keys a per-row loop gives,
+        # as Python ints even past int64's range (1e10 / 1e-9 = 1e19).
+        cache = GapCache(BOX)
+        rng = np.random.default_rng(3)
+        xs = np.vstack([rng.uniform(-2.0, 2.0, (50, 2)), [[1e10, -1e10]]])
+        expected = [
+            tuple(int(v) for v in np.round(x / cache._quantum)) for x in xs
+        ]
+        keys = cache.keys(xs)
+        assert keys == expected
+        assert all(type(v) is int for key in keys for v in key)
+        assert keys[-1] == (10**19, -(10**19))

@@ -304,12 +304,9 @@ class TestCacheEquivalence:
     def test_cache_key_quantization(self):
         box = Box.from_arrays(np.zeros(2), np.ones(2))
         cache = GapCache(box, resolution=0.1)
-        assert cache.key(np.array([0.52, 0.52])) == cache.key(
-            np.array([0.54, 0.54])
-        )
-        assert cache.key(np.array([0.52, 0.52])) != cache.key(
-            np.array([0.62, 0.52])
-        )
+        a, b, c = cache.keys(np.array([[0.52, 0.52], [0.54, 0.54], [0.62, 0.52]]))
+        assert a == b
+        assert a != c
 
 
 class TestOracleStats:

@@ -1,13 +1,17 @@
 """HTTP error discipline: every failure is a JSON body with the right
 status — 400 malformed, 404 unknown, 405 wrong method, 413 oversized,
-429 backlog full — plus the /fabric endpoint's local-mode 404."""
+429 backlog full — and no request body makes the server answer 500."""
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.service import MAX_BODY_BYTES, AnalysisService, make_server
 
@@ -45,6 +49,52 @@ def server(service):
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _object(**optional):
+    """Objects holding some of the keys, or any JSON value instead."""
+    return JSON_VALUES | st.fixed_dictionaries({}, optional=optional)
+
+
+_JOBS = _object(
+    name=st.sampled_from(["a", "b"]) | JSON_VALUES,
+    problem=_object(
+        factory=st.just("repro.parallel._testing:band_problem") | JSON_VALUES,
+        domain=st.just("caching") | JSON_VALUES,
+        kwargs=st.just({"dim": 2}) | JSON_VALUES,
+    ),
+    config=_object(explainer_samples=st.just(15) | JSON_VALUES),
+    seed=st.integers() | JSON_VALUES,
+)
+SPEC_SHAPED = _object(
+    name=JSON_VALUES,
+    seed=st.integers() | JSON_VALUES,
+    defaults=_object(generator=_object(max_subspaces=st.just(1) | JSON_VALUES)),
+    jobs=st.lists(_JOBS, max_size=2) | JSON_VALUES,
+)
+#: any bytes, any JSON value, and objects shaped like a campaign spec
+BODIES = (
+    st.binary(max_size=64)
+    | JSON_VALUES.map(lambda value: json.dumps(value).encode())
+    | SPEC_SHAPED.map(lambda value: json.dumps(value).encode())
+)
+
+
+def _nested_kwargs(depth):
+    """A spec body whose job kwargs hold ``depth`` nested arrays."""
+    factory = SPEC["jobs"][0]["problem"]["factory"]
+    nest = "[" * depth + "]" * depth
+    body = '{"jobs": [{"problem": {"factory": "%s", "kwargs": {"a": %s}}}]}'
+    return (body % (factory, nest)).encode()
 
 
 def _request(base, path, method="GET", data=None, headers=None):
@@ -114,15 +164,87 @@ class TestMalformedRequests:
         status, body, _ = _request(server, "/campaigns")
         assert (status, body["campaigns"]) == (200, [])
 
-    def test_bad_workers_param_is_400(self, server):
+    @pytest.mark.parametrize(
+        "query", ["workers=soon", "workers=2", "dry_run", "a=1&b=2"]
+    )
+    def test_query_string_is_400(self, server, query):
         status, body, _ = _request(
             server,
-            "/campaigns?workers=soon",
+            f"/campaigns?{query}",
             method="POST",
             data=json.dumps(SPEC).encode(),
         )
         assert status == 400
-        assert "integer" in body["error"]
+        assert query in body["error"]
+        status, body, _ = _request(server, "/campaigns")
+        assert (status, body["campaigns"]) == (200, [])
+
+    @pytest.mark.parametrize(
+        "data", [b"\xff", b"[" * 5000], ids=["not-utf8", "5000-arrays-deep"]
+    )
+    def test_undecodable_body_is_400(self, server, data):
+        status, body, _ = _request(server, "/campaigns", method="POST", data=data)
+        assert status == 400
+        assert "not valid JSON" in body["error"]
+
+    @pytest.mark.parametrize("depth", [60, 980])
+    def test_deep_spec_is_400(self, server, depth):
+        # 980 arrays parse, then overflowed the recursion limit while the
+        # run IDs were hashed; 60 (65 levels in all) is just over the cap.
+        status, body, _ = _request(
+            server, "/campaigns", method="POST", data=_nested_kwargs(depth)
+        )
+        assert status == 400
+        assert "nests deeper" in body["error"]
+        status, body, _ = _request(server, "/campaigns")
+        assert (status, body["campaigns"]) == (200, [])
+
+    def test_negative_content_length_is_400(self, server):
+        # No body follows: read(-1) would block until the client hangs up.
+        url = urllib.parse.urlparse(server)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            connection.putrequest("POST", "/campaigns")
+            connection.putheader("Content-Length", "-1")
+            connection.endheaders()
+            response = connection.getresponse()
+            status, body = response.status, json.loads(response.read())
+        finally:
+            connection.close()
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+
+class TestFuzzedBodies:
+    def test_no_body_answers_500(self, tmp_path):
+        # Never started: an accepted spec is registered and queued, but
+        # nothing runs it.
+        service = AnalysisService(tmp_path / "store")
+        server = make_server(service, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+
+        @settings(deadline=None)
+        @given(body=BODIES)
+        @example(body=b"\xff")
+        @example(body=b"[" * 5000)
+        @example(body=_nested_kwargs(980))
+        def post(body):
+            before = len(service.store.list_campaigns())
+            status, payload, _ = _request(base, "/campaigns", "POST", body)
+            assert status in (200, 202, 400, 413), (status, payload)
+            registered = len(service.store.list_campaigns()) - before
+            if status >= 400:
+                assert payload["error"]
+                assert registered == 0
+            else:
+                assert service.store.campaign(payload["campaign_id"])
+
+        try:
+            post()
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 class TestUnknownRoutes:
@@ -137,11 +259,6 @@ class TestUnknownRoutes:
         )
         assert status == 404
 
-    def test_fabric_is_404_in_local_mode(self, server):
-        status, body, _ = _request(server, "/fabric")
-        assert status == 404
-        assert "local executor" in body["error"]
-
 
 class TestWrongMethods:
     @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH"])
@@ -154,7 +271,7 @@ class TestWrongMethods:
         assert "GET" in headers["Allow"]
 
     def test_post_to_a_get_only_route_is_405(self, server):
-        for path in ("/healthz", "/runs", "/fabric"):
+        for path in ("/healthz", "/runs", "/metrics"):
             status, body, headers = _request(
                 server, path, method="POST", data=b"{}"
             )

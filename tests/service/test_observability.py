@@ -163,7 +163,7 @@ class TestDashboard:
         # self-contained: no external scripts, styles, or fonts
         assert "src=\"http" not in text and "href=\"http" not in text
         # the page drives the documented JSON API
-        for path in ("/healthz", "/campaigns", "/fabric", "/search"):
+        for path in ("/healthz", "/campaigns", "/search"):
             assert path in text
 
 

@@ -1,20 +1,26 @@
-"""Graceful stop/start: drain at a unit boundary, resume from the store.
+"""Graceful stop/start and worker death: resume from the store.
 
-Satellite of DESIGN.md §13: ``AnalysisService.stop()`` must not abandon
-a mid-flight campaign. The worker stops at the next unit boundary (the
-finished unit is already persisted), the campaign flips back to
-``pending``, and the next ``start()`` requeues it — resuming from the
-store, never re-executing a completed unit.
+``AnalysisService.stop()`` must not abandon a mid-flight campaign. The
+worker stops at the next unit boundary (the finished unit is already
+persisted), the campaign flips back to ``pending``, and the next
+``start()`` requeues it — resuming from the store, never re-executing a
+completed unit. A pool worker that dies fails its campaign cleanly, and
+re-submitting the spec resumes it the same way (DESIGN.md §10).
 """
 
+import json
+import threading
 import time
+import urllib.request
 
 from repro.parallel.campaign import (
     CampaignSpec,
     deterministic_view,
+    plan_campaign,
     run_campaign,
 )
-from repro.service import AnalysisService
+from repro.service import AnalysisService, make_server
+from repro.store import run_id_for
 
 
 def _spec_dict(counter_path):
@@ -55,11 +61,13 @@ def _builds(counter_path):
 
 
 def _wait(predicate, timeout=120.0):
+    # Poll far inside one unit (~30 ms): the drain test must see the
+    # first build and call stop() before the second unit is persisted.
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if predicate():
             return True
-        time.sleep(0.05)
+        time.sleep(0.005)
     return False
 
 
@@ -119,52 +127,64 @@ class TestStopDrain:
         assert service.stop()
 
 
-class TestFabricMode:
-    def test_fabric_service_runs_a_campaign_end_to_end(self, tmp_path):
-        counter = tmp_path / "builds.txt"
+class TestWorkerDeath:
+    def test_dead_worker_fails_cleanly_and_a_repost_resumes(self, tmp_path):
+        counter, heal, go = (tmp_path / n for n in ("builds.txt", "heal", "go"))
         spec_data = _spec_dict(counter)
-        service = AnalysisService(
-            tmp_path / "store",
-            workers=2,
-            executor="fabric",
-            lease_seconds=5.0,
-        ).start()
-        try:
-            campaign_id = service.submit(spec_data)["campaign_id"]
-            assert _wait(
-                lambda: service.store.campaign(campaign_id)["status"]
-                in ("done", "failed")
+        spec_data["jobs"] = [
+            spec_data["jobs"][0],
+            {
+                "name": "dying",
+                "problem": {
+                    "factory": "repro.parallel._testing:dying_problem",
+                    "kwargs": {"heal_path": str(heal), "go_path": str(go)},
+                },
+            },
+        ]
+        first_run = run_id_for(plan_campaign(CampaignSpec.from_dict(spec_data))[0])
+        service = AnalysisService(tmp_path / "store", workers=2).start()
+        server = make_server(service, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+
+        def post():
+            request = urllib.request.Request(
+                base + "/campaigns", data=json.dumps(spec_data).encode()
             )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                return response.status, json.loads(response.read())
+
+        def status(campaign_id):
+            return service.store.campaign(campaign_id)["status"]
+
+        try:
+            _, submitted = post()
+            campaign_id = submitted["campaign_id"]
+            # A broken pool fails every unfinished future: let the dying
+            # job's worker exit only once the first job is stored.
+            assert _wait(lambda: service.run_report(first_run) is not None)
+            go.touch()
+            assert _wait(lambda: status(campaign_id) in ("done", "failed"))
+            row = service.store.campaign(campaign_id)
+            assert row["status"] == "failed"
+            assert "worker process died" in row["error"]
+            assert _builds(counter) == 1
+            # The worker thread records the failure once more before it
+            # lets the campaign go; re-post only after that.
+            assert _wait(lambda: service.health_info()["backlog"] == 0)
+
+            heal.touch()
+            code, again = post()
+            assert (code, again["status"]) == (202, "pending")
+            assert again["campaign_id"] == campaign_id
+            assert _wait(lambda: status(campaign_id) in ("done", "failed"))
             row = service.store.campaign(campaign_id)
             assert row["status"] == "done"
-            status = service.fabric_status()
-            assert status["units"]["done"] == len(spec_data["jobs"])
-            assert status["counters"]["commits"] == len(spec_data["jobs"])
-            assert status["fleet"]["alive"] == 2
+            assert row["report"]["timing"]["resumed_runs"] == 1
+            assert _builds(counter) == 1, "the stored job was rebuilt"
         finally:
+            server.shutdown()
+            server.server_close()
             assert service.stop(timeout=120.0)
-        # The fleet is torn down with the service.
-        assert service._fabric_supervisor.alive_workers() == 0
-
-    def test_fabric_report_matches_local_execution(self, tmp_path):
-        # Run IDs are content-addressed over the payload (which embeds
-        # counter_path), so both runs must share the same spec dict.
-        counter = tmp_path / "builds.txt"
-        spec_data = _spec_dict(counter)
-        service = AnalysisService(
-            tmp_path / "store", executor="fabric"
-        ).start()
-        try:
-            campaign_id = service.submit(spec_data)["campaign_id"]
-            assert _wait(
-                lambda: service.store.campaign(campaign_id)["status"] == "done"
-            )
-            served = service.store.campaign(campaign_id)["report"]
-        finally:
-            service.stop(timeout=120.0)
-        fresh = run_campaign(CampaignSpec.from_dict(_spec_dict(counter)))
-        assert deterministic_view(served) == deterministic_view(fresh)
-
-    def test_local_mode_has_no_fabric_status(self, tmp_path):
-        service = AnalysisService(tmp_path / "store")
-        assert service.fabric_status() is None
+        fresh = run_campaign(CampaignSpec.from_dict(spec_data))
+        assert deterministic_view(row["report"]) == deterministic_view(fresh)

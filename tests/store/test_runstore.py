@@ -11,7 +11,7 @@ from repro.subspace.region import Box, Halfspace, Region
 
 
 def _report(name="unit", seed=7):
-    """A fabricated per-unit report in the campaign report schema."""
+    """A synthetic per-unit report in the campaign report schema."""
     region = Region(
         box=Box((0.0, 50.0), (25.0, 100.0)),
         halfspaces=[Halfspace((-1.0, 0.0), -10.0)],
