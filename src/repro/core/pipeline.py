@@ -119,9 +119,7 @@ class XPlain:
         # Type 2: explain each significant subspace (§5.3). Each
         # subspace owns a derived random stream (shard→seed), so the
         # explanations are order-free and independently schedulable.
-        with _span(
-            "stage.explain", subspaces=len(generator_report.subspaces)
-        ):
+        with _span("stage.explain"):
             explained = [
                 self._explain(
                     subspace,

@@ -11,11 +11,9 @@ optional set of labels. The design goals, in order:
   :class:`threading.Lock` guards all map mutation, and increments are
   performed under it (they are rare relative to oracle work — one call
   per *batch* or per *unit*, never per point).
-* **snapshot / merge.** :meth:`MetricsRegistry.snapshot` produces a
-  JSON-safe dump and :meth:`MetricsRegistry.merge` folds one back in —
-  counters and histograms add, gauges last-write-wins. The service's
-  ``/metrics`` scrape merges its registry into a throwaway one and adds
-  its live gauges there, so a scrape never mutates what it reads.
+* **snapshot.** :meth:`MetricsRegistry.snapshot` produces a deep-copied
+  JSON-safe dump. The service's ``/metrics`` scrape sets its live
+  gauges in that copy, so a scrape never mutates what it reads.
 * **valid exposition.** :func:`render_prometheus` emits the Prometheus
   text format (``text/plain; version=0.0.4``): ``# HELP``/``# TYPE``
   headers, escaped label values, ``_bucket``/``_sum``/``_count``
@@ -51,9 +49,6 @@ DEFAULT_BUCKETS = (
 
 _METRIC_NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
 _LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
-
-#: instrument kinds a registry can hold
-_KINDS = ("counter", "gauge", "histogram")
 
 
 def _label_key(labels: dict | None) -> str:
@@ -110,7 +105,7 @@ class _Family:
 
 
 class MetricsRegistry:
-    """Thread-safe counters/gauges/histograms with snapshot + merge."""
+    """Thread-safe counters/gauges/histograms with a snapshot dump."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -202,9 +197,9 @@ class MetricsRegistry:
             state["sum"] += float(value)
             state["count"] += 1
 
-    # -- snapshot / merge ---------------------------------------------------
+    # -- snapshot -----------------------------------------------------------
     def snapshot(self) -> dict:
-        """A JSON-safe dump of every family (deep-copied, mergeable)."""
+        """A deep-copied, JSON-safe dump of every family."""
         out: dict = {}
         with self._lock:
             for name, family in self._families.items():
@@ -227,48 +222,6 @@ class MetricsRegistry:
                 if family.buckets is not None:
                     out[name]["buckets"] = list(family.buckets)
         return out
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold one :meth:`snapshot` dump into this registry.
-
-        Counters and histogram states add (every source's work counts
-        once); gauges take the incoming value.
-        """
-        for name, data in snapshot.items():
-            kind = data.get("kind")
-            if kind not in _KINDS:
-                raise ValueError(f"snapshot metric {name!r} has kind {kind!r}")
-            with self._lock:
-                family = self._family(
-                    name, kind, data.get("help", ""),
-                    buckets=data.get("buckets"),
-                )
-                for key, value in data.get("samples", {}).items():
-                    if kind == "counter":
-                        family.samples[key] = family.samples.get(key, 0) + value
-                    elif kind == "gauge":
-                        family.samples[key] = float(value)
-                    else:
-                        if family.buckets is None or len(
-                            value["buckets"]
-                        ) != len(family.buckets):
-                            raise ValueError(
-                                f"histogram {name!r} bucket layout mismatch"
-                            )
-                        state = family.samples.get(key)
-                        if state is None:
-                            state = {
-                                "buckets": [0] * len(family.buckets),
-                                "sum": 0.0,
-                                "count": 0,
-                            }
-                            family.samples[key] = state
-                        state["buckets"] = [
-                            a + b
-                            for a, b in zip(state["buckets"], value["buckets"])
-                        ]
-                        state["sum"] += value["sum"]
-                        state["count"] += value["count"]
 
     def render(self) -> str:
         """This registry's current state in Prometheus text format."""

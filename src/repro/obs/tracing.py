@@ -1,103 +1,88 @@
-"""Structured spans: what one run did, stage by stage, with timings.
+"""Per-unit profiles: calls, inclusive and self seconds per span name.
 
-A :class:`Tracer` collects :class:`Span` records — name, wall-clock
-start offset, duration, nesting parent, and a small attribute dict —
-for one unit of work (a campaign or a campaign unit). Spans are
-*timing* data: they ride inside a report's ``"timing"`` block, which
-:func:`repro.parallel.campaign.deterministic_view` strips, so tracing
-can never perturb the bit-identity contracts (workers=1 vs N,
-instrumented vs not).
+A :class:`Profile` rolls up every :func:`span` of one unit of work (a
+campaign or a campaign unit) into one row per span name: how many
+times the span ran, its inclusive seconds, and its self seconds (the
+inclusive seconds minus those of the spans opened directly inside it).
+The profile's size is bounded by the number of span names, never by
+the number of calls, so it is always on. Rows are *timing* data: they
+ride inside a report's ``"timing"`` block, which
+:func:`repro.parallel.campaign.deterministic_view` strips, so
+profiling can never perturb the bit-identity contracts.
 
-Activation is explicit and thread-local. Code under instrumentation
-calls :func:`span` — a context manager that is a shared no-op when no
-tracer is active on the current thread, so an uninstrumented run pays
-one thread-local read per call site and allocates nothing.
-
-Span volume is bounded: a tracer keeps at most ``max_spans`` records
-and counts the overflow in ``dropped`` instead of growing without
-limit (an adaptive search can run hundreds of oracle batches).
+Activation is thread-local. :func:`profiled` makes a fresh profile
+this thread's active one and restores the previous one after, so a
+unit run in-process by the campaign driver charges its spans to its
+own profile. :func:`span` is a shared no-op context manager when no
+profile is active, so code profiled outside a campaign pays one
+thread-local read per call site and allocates nothing.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "activate",
-    "current_tracer",
-    "deactivate",
-    "span",
-]
-
-#: default cap on recorded spans per tracer
-MAX_SPANS = 512
+__all__ = ["Profile", "current_profile", "profiled", "span"]
 
 _state = threading.local()
 
 
-@dataclass
-class Span:
-    """One finished span (offsets are seconds since the tracer started)."""
+class Profile:
+    """One row per span name: ``[calls, seconds, self_seconds]``."""
 
-    name: str
-    start: float
-    duration: float
-    parent: int | None = None
-    attrs: dict = field(default_factory=dict)
+    __slots__ = ("rows", "_open")
+
+    def __init__(self) -> None:
+        self.rows: dict[str, list] = {}
+        #: spans entered and not yet exited, innermost last
+        self._open: list[_Span] = []
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "start": round(self.start, 6),
-            "duration": round(self.duration, 6),
+        """JSON-safe rows, keyed by span name."""
+        return {
+            name: {"calls": calls, "seconds": seconds, "self_seconds": own}
+            for name, (calls, seconds, own) in self.rows.items()
         }
-        if self.parent is not None:
-            out["parent"] = self.parent
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        return out
 
 
-class _ActiveSpan:
-    """Context manager recording one span on exit."""
+class _Span:
+    """Context manager charging one call of ``name`` to a profile."""
 
-    __slots__ = ("tracer", "name", "attrs", "index", "_begin")
+    __slots__ = ("profile", "name", "start", "children")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
-        self.tracer = tracer
+    def __init__(self, profile: Profile, name: str) -> None:
+        self.profile = profile
         self.name = name
-        self.attrs = attrs
-        self.index: int | None = None
+        self.children = 0.0
 
-    def __enter__(self) -> "_ActiveSpan":
-        self._begin = time.perf_counter()
-        self.index = self.tracer._open(self)
+    def __enter__(self) -> "_Span":
+        self.profile._open.append(self)
+        self.start = time.perf_counter()
         return self
 
-    def annotate(self, **attrs) -> None:
-        """Attach attributes discovered mid-span (e.g. batch outcomes)."""
-        self.attrs.update(attrs)
-
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.attrs.setdefault("error", exc_type.__name__)
-        self.tracer._close(self, time.perf_counter() - self._begin)
+        seconds = time.perf_counter() - self.start
+        profile = self.profile
+        profile._open.pop()
+        if profile._open:
+            profile._open[-1].children += seconds
+        row = profile.rows.get(self.name)
+        if row is None:
+            row = profile.rows[self.name] = [0, 0.0, 0.0]
+        row[0] += 1
+        row[1] += seconds
+        row[2] += seconds - self.children
 
 
 class _NoopSpan:
-    """Shared do-nothing context manager for the tracer-less fast path."""
+    """Shared do-nothing context manager for the profile-less fast path."""
 
     __slots__ = ()
 
     def __enter__(self) -> "_NoopSpan":
         return self
-
-    def annotate(self, **attrs) -> None:
-        pass
 
     def __exit__(self, exc_type, exc, tb) -> None:
         pass
@@ -106,72 +91,27 @@ class _NoopSpan:
 _NOOP = _NoopSpan()
 
 
-class Tracer:
-    """Collects bounded, nested spans for one unit of work."""
-
-    def __init__(self, max_spans: int = MAX_SPANS) -> None:
-        self.max_spans = max_spans
-        self.started = time.perf_counter()
-        self.spans: list[Span] = []
-        self.dropped = 0
-        self._stack: list[int] = []
-
-    # -- recording (driven by _ActiveSpan) ----------------------------------
-    def _open(self, active: _ActiveSpan) -> int | None:
-        if len(self.spans) >= self.max_spans:
-            self.dropped += 1
-            index = None
-        else:
-            index = len(self.spans)
-            self.spans.append(
-                Span(
-                    name=active.name,
-                    start=active._begin - self.started,
-                    duration=0.0,
-                    parent=self._stack[-1] if self._stack else None,
-                    attrs=active.attrs,
-                )
-            )
-        self._stack.append(index if index is not None else -1)
-        return index
-
-    def _close(self, active: _ActiveSpan, duration: float) -> None:
-        if self._stack:
-            self._stack.pop()
-        if active.index is not None:
-            record = self.spans[active.index]
-            record.duration = duration
-            record.attrs = active.attrs
-
-    # -- export -------------------------------------------------------------
-    def to_list(self) -> list[dict]:
-        """JSON-safe span records, in start order."""
-        return [record.to_dict() for record in self.spans]
-
-    def summary(self) -> dict:
-        return {"spans": len(self.spans), "dropped": self.dropped}
+def current_profile() -> Profile | None:
+    """The profile active on this thread, if any."""
+    return getattr(_state, "profile", None)
 
 
-def current_tracer() -> Tracer | None:
-    """The tracer active on this thread, if any."""
-    return getattr(_state, "tracer", None)
+@contextmanager
+def profiled():
+    """Activate a fresh :class:`Profile` on this thread for the block,
+    then restore whichever profile was active before it."""
+    previous = current_profile()
+    profile = _state.profile = Profile()
+    try:
+        yield profile
+    finally:
+        _state.profile = previous
 
 
-def activate(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as this thread's active tracer."""
-    _state.tracer = tracer
-    return tracer
-
-
-def deactivate() -> None:
-    """Clear this thread's active tracer."""
-    _state.tracer = None
-
-
-def span(name: str, **attrs):
-    """A context manager recording one span — a shared no-op when no
-    tracer is active on this thread (the zero-overhead contract)."""
-    tracer = getattr(_state, "tracer", None)
-    if tracer is None:
+def span(name: str):
+    """A context manager charging one call of ``name`` to this thread's
+    profile — a shared no-op when no profile is active."""
+    profile = getattr(_state, "profile", None)
+    if profile is None:
         return _NOOP
-    return _ActiveSpan(tracer, name, attrs)
+    return _Span(profile, name)

@@ -89,9 +89,7 @@ class OracleEngine:
         self.stats.cache_misses += len(miss_indices)
 
         if miss_indices:
-            with _span(
-                "oracle.batch", points=n, misses=len(miss_indices)
-            ):
+            with _span("oracle.batch"):
                 fresh = self._dispatch(xs[miss_indices])
             for j, i in enumerate(miss_indices):
                 benchmark[i] = fresh.benchmark_values[j]

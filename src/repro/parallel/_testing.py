@@ -62,21 +62,43 @@ def band_problem(dim: int = 2, lo: float = 0.6, hi: float = 0.9) -> AnalyzedProb
 
 
 def counted_band_problem(
-    counter_path: str, dim: int = 2, lo: float = 0.6, hi: float = 0.9
+    counter_path: str,
+    dim: int = 2,
+    lo: float = 0.6,
+    hi: float = 0.9,
+    gate_path: str | None = None,
 ) -> AnalyzedProblem:
     """A band problem that logs one line to ``counter_path`` per build.
 
     Resume tests count the lines to prove a stored unit was loaded
     instead of re-executed (executing a unit must rebuild its problem).
+    With a ``gate_path``, the build then waits (up to a minute) for that
+    file to exist, so a test decides when the unit goes on.
     """
     with open(counter_path, "a") as fh:
         fh.write("build\n")
+    _wait_for(gate_path)
     problem = band_problem(dim=dim, lo=lo, hi=hi)
     problem.spec = ProblemSpec(
         factory="repro.parallel._testing:counted_band_problem",
-        kwargs={"counter_path": counter_path, "dim": dim, "lo": lo, "hi": hi},
+        kwargs={
+            "counter_path": counter_path,
+            "dim": dim,
+            "lo": lo,
+            "hi": hi,
+            "gate_path": gate_path,
+        },
     )
     return problem
+
+
+def _wait_for(path: str | None, timeout: float = 60.0) -> None:
+    """Wait (up to ``timeout`` seconds) for ``path`` to exist."""
+    deadline = time.monotonic() + timeout
+    while path is not None and not os.path.exists(path):
+        if time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
 
 
 def flaky_problem(flag_path: str, dim: int = 2) -> AnalyzedProblem:
@@ -136,11 +158,7 @@ def dying_problem(
     def die_unless_healed() -> None:
         if heal_path is not None and os.path.exists(heal_path):
             return
-        deadline = time.monotonic() + 60.0
-        while go_path is not None and not os.path.exists(go_path):
-            if time.monotonic() > deadline:
-                break
-            time.sleep(0.01)
+        _wait_for(go_path)
         os._exit(17)
 
     def evaluate(x: np.ndarray) -> GapSample:

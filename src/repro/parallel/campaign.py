@@ -37,13 +37,7 @@ from repro.exceptions import AnalyzerError, CampaignInterrupted
 from repro.knobs import is_int
 from repro.obs import runtime as _obs
 from repro.obs.fold import fold_campaign_report, fold_unit_report
-from repro.obs.tracing import (
-    Tracer,
-    activate,
-    current_tracer,
-    deactivate,
-    span as _span,
-)
+from repro.obs.tracing import profiled, span as _span
 from repro.oracle.stats import OracleStats
 from repro.parallel.executor import ProcessExecutor, SerialExecutor
 from repro.parallel.shard import STAGE_CAMPAIGN, derive_seed
@@ -308,32 +302,15 @@ def execute_job(job_payload: dict) -> dict:
     seed = int(job_payload["seed"])
     config.seed = seed
     config.generator.seed = seed
-    # Span tracing rides the XPLAIN_OBS environment (or an installed
-    # registry), never the payload — content-addressed run IDs must not
-    # change when observability toggles. The unit gets its own tracer;
-    # the driver's tracer (serial executor runs in-process) is restored
-    # afterwards. Spans land under "timing", which deterministic_view
-    # strips, so instrumented and plain reports stay bit-identical.
-    tracer = Tracer() if _obs.tracing_enabled() else None
-    previous = current_tracer()
-    if tracer is not None:
-        activate(tracer)
-    try:
-        with _span("unit", unit=job_payload["name"], seed=seed):
-            report = XPlain(problem, config).run()
-    finally:
-        if tracer is not None:
-            if previous is not None:
-                activate(previous)
-            else:
-                deactivate()
+    # The unit profiles its spans into its own rollup; the driver's
+    # (serial executor runs in-process) is restored afterwards. The
+    # rows land under "timing", which deterministic_view strips.
+    with profiled() as profile, _span("unit"):
+        report = XPlain(problem, config).run()
     out = unit_report(
         job_payload["name"], spec, seed, problem, report, config=config
     )
-    if tracer is not None:
-        out["timing"]["spans"] = tracer.to_list()
-        if tracer.dropped:
-            out["timing"]["spans_dropped"] = tracer.dropped
+    out["timing"]["profile"] = profile.to_dict()
     return out
 
 
@@ -512,15 +489,10 @@ def run_campaign(
     units = [CampaignUnit(payloads[index]) for index in pending]
     executor = ProcessExecutor(workers) if workers > 1 else SerialExecutor()
     completed = resumed
-    # The driver gets its own campaign tracer (units carry theirs inside
-    # their "timing" blocks); spans attach to the campaign report's
-    # timing, which deterministic_view strips.
-    tracer = None
-    previous_tracer = current_tracer()
-    if _obs.tracing_enabled() and previous_tracer is None:
-        tracer = activate(Tracer())
+    # The driver profiles into its own rollup (units carry theirs inside
+    # their "timing" blocks), attached to the campaign report's timing.
     try:
-        with _span("campaign", campaign=spec.name, units=len(payloads)):
+        with profiled() as profile, _span("campaign"):
             # Results stream back in unit order and are persisted one by
             # one: a failure after k units leaves k completed runs behind.
             for index, result in zip(pending, executor.iter_units(units)):
@@ -546,8 +518,6 @@ def run_campaign(
             store.set_campaign_status(campaign_id, "failed", error=str(exc))
         raise
     finally:
-        if tracer is not None:
-            deactivate()
         executor.close()
 
     totals = OracleStats()
@@ -574,12 +544,9 @@ def run_campaign(
                 r["timing"]["runtime_seconds"] for r in results
             ),
             **stats_timing,
+            "profile": profile.to_dict(),
         },
     }
-    if tracer is not None:
-        report["timing"]["spans"] = tracer.to_list()
-        if tracer.dropped:
-            report["timing"]["spans_dropped"] = tracer.dropped
     if metrics is not None:
         fold_campaign_report(metrics, report)
     if store is not None:

@@ -167,12 +167,7 @@ class AdaptiveSearchEngine:
                 batches = self._truncate(batches, granted)
 
             stacked = np.vstack([p for _, p in batches])
-            with _span(
-                "search.round",
-                stage=self.stage,
-                index=round_index,
-                granted=granted,
-            ):
+            with _span("search.round"):
                 gaps = self.problem.evaluate_many(stacked).gaps
             if self.target_gap is not None and evals_to_target is None:
                 hit_positions = np.flatnonzero(gaps >= self.target_gap)

@@ -21,7 +21,7 @@ Endpoints (all JSON):
 * ``GET  /version``              — ``repro.__version__``;
 * ``GET  /metrics``              — Prometheus text exposition (oracle,
   solver, search, service, and HTTP metrics; DESIGN.md §15). Scrapes are
-  read-only: they render a merged snapshot and mutate nothing;
+  read-only: they render a snapshot copy and mutate nothing;
 * ``GET  /dashboard``            — the self-contained operator dashboard
   (one HTML page polling this JSON API; no external assets).
 
@@ -49,12 +49,7 @@ from urllib.parse import urlparse
 
 import repro
 from repro.exceptions import AnalyzerError, ServiceBusy
-from repro.obs import (
-    EXPOSITION_CONTENT_TYPE,
-    enable_env,
-    install,
-    render_prometheus,
-)
+from repro.obs import EXPOSITION_CONTENT_TYPE, install, render_prometheus
 from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.service import AnalysisService
 
@@ -395,12 +390,9 @@ def serve(
         retention=retention,
         max_pending=max_pending,
     )
-    # The serve process is where observability goes global: the
-    # service's registry becomes the process registry (pipeline hooks
-    # feed it), and tracing turns on for this process and its pool
-    # workers — via the environment, never via unit payloads.
+    # The serve process is where metrics go global: the service's
+    # registry becomes the process registry, which pipeline hooks feed.
     install(service.metrics)
-    enable_env()
     service.start()
     server = make_server(service, host=host, port=port)
     actual_host, actual_port = server.server_address[:2]

@@ -72,8 +72,9 @@ class AnalysisService:
         self._queue: queue.Queue = queue.Queue()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        #: campaign IDs queued or executing right now (submit dedupe)
-        self._active: set[str] = set()
+        #: campaign ID -> its copies queued or executing right now
+        #: (submit dedupe; a re-submitted failed campaign adds a copy)
+        self._active: dict[str, int] = {}
         self._lock = threading.Lock()
         #: the service's own metrics registry — deliberately *not* the
         #: process-global one, so embedding a service (tests, notebooks)
@@ -111,7 +112,7 @@ class AnalysisService:
             with self._lock:
                 queued = row["campaign_id"] in self._active
                 if not queued:
-                    self._active.add(row["campaign_id"])
+                    self._active[row["campaign_id"]] = 1
             if not queued:
                 self._queue.put(row["campaign_id"])
 
@@ -183,11 +184,14 @@ class AnalysisService:
                 queued = campaign_id in self._active
                 # A failed campaign is requeued even if its ID is still
                 # in _active (the worker that just failed it may not
-                # have released it yet); at worst the worker pops the
-                # duplicate later and _execute skips a done campaign.
+                # have released it yet): the new copy keeps the ID in
+                # the backlog, and at worst the worker pops it after the
+                # campaign is done and _execute skips it.
                 requeue = not queued or status == "failed"
                 if requeue:
-                    self._active.add(campaign_id)
+                    self._active[campaign_id] = (
+                        self._active.get(campaign_id, 0) + 1
+                    )
             if requeue:
                 # A re-submitted failed campaign is pending again — a
                 # poller must not read the queued work as terminal.
@@ -267,31 +271,36 @@ class AnalysisService:
     def metrics_snapshot(self) -> dict:
         """Everything ``GET /metrics`` exposes, as one snapshot.
 
-        The service's counters are copied into a throwaway registry and
-        the live gauges are set there, so scrapes are read-only: two
-        back-to-back scrapes with no work in between render the same
-        work counters.
+        The live gauges are set in the registry's snapshot, which is a
+        deep copy, so scrapes are read-only: two back-to-back scrapes
+        with no work in between render the same work counters.
         """
-        merged = MetricsRegistry()
-        merged.merge(self.metrics.snapshot())
-        merged.gauge_set(
-            "xplain_service_uptime_seconds",
-            time.time() - self.started_at,
-            help="seconds since this service process started",
-        )
+        snapshot = self.metrics.snapshot()
         with self._lock:
             backlog = len(self._active)
-        merged.gauge_set(
-            "xplain_service_backlog",
-            backlog,
-            help="campaigns queued or running right now",
-        )
-        merged.gauge_set(
-            "xplain_service_worker_alive",
-            1.0 if self.running else 0.0,
-            help="1 when the campaign worker thread is alive",
-        )
-        return merged.snapshot()
+        for name, value, help_text in (
+            (
+                "xplain_service_uptime_seconds",
+                time.time() - self.started_at,
+                "seconds since this service process started",
+            ),
+            (
+                "xplain_service_backlog",
+                backlog,
+                "campaigns queued or running right now",
+            ),
+            (
+                "xplain_service_worker_alive",
+                1.0 if self.running else 0.0,
+                "1 when the campaign worker thread is alive",
+            ),
+        ):
+            snapshot[name] = {
+                "kind": "gauge",
+                "help": help_text,
+                "samples": {"": float(value)},
+            }
+        return snapshot
 
     # -- the worker ---------------------------------------------------------
     def _worker(self) -> None:
@@ -299,6 +308,7 @@ class AnalysisService:
             campaign_id = self._queue.get()
             if campaign_id is None:
                 continue
+            error = None
             try:
                 self._execute(campaign_id)
             except CampaignInterrupted:
@@ -307,19 +317,34 @@ class AnalysisService:
                 # to "pending", so the next start() resumes it.
                 pass
             except Exception as exc:  # noqa: BLE001 - service must survive
-                # run_campaign already marked the campaign failed; any
-                # other error (store corruption, bad spec row) must not
-                # kill the worker thread.
-                try:
-                    self.store.set_campaign_status(
-                        campaign_id, "failed", error=str(exc)
-                    )
-                except Exception:  # noqa: BLE001
-                    traceback.print_exc()
-            finally:
-                with self._lock:
-                    self._active.discard(campaign_id)
-                self._queue.task_done()
+                error = exc
+            with self._lock:
+                copies = self._active.pop(campaign_id) - 1
+                if copies:
+                    # A re-submit queued the campaign again while this
+                    # copy ran: its "pending" stands, and it stays in
+                    # the backlog until that copy is done too.
+                    self._active[campaign_id] = copies
+                elif error is not None:
+                    self._record_failure(campaign_id, error)
+            self._queue.task_done()
+
+    def _record_failure(self, campaign_id: str, error: Exception) -> None:
+        """Mark a campaign failed unless ``run_campaign`` already did.
+
+        Runs under ``_lock``, so no re-submit lands between the check
+        and the write. Errors ``run_campaign`` did not record itself (a
+        missing row, a store error before its ``try``) must not kill the
+        worker thread either.
+        """
+        try:
+            row = self.store.campaign(campaign_id)
+            if row is None or row["status"] != "failed":
+                self.store.set_campaign_status(
+                    campaign_id, "failed", error=str(error)
+                )
+        except Exception:  # noqa: BLE001
+            traceback.print_exc()
 
     def _execute(self, campaign_id: str) -> None:
         row = self.store.campaign(campaign_id)

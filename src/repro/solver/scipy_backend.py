@@ -15,22 +15,14 @@ from repro.solver.model import Model
 from repro.solver.solution import Solution, SolveStats, SolveStatus
 
 
-def _status_from_linprog(status_code: int) -> SolveStatus:
-    return {
-        0: SolveStatus.OPTIMAL,
-        1: SolveStatus.ITERATION_LIMIT,
-        2: SolveStatus.INFEASIBLE,
-        3: SolveStatus.UNBOUNDED,
-    }.get(status_code, SolveStatus.ERROR)
-
-
-def _status_from_milp(status_code: int) -> SolveStatus:
-    return {
-        0: SolveStatus.OPTIMAL,
-        1: SolveStatus.ITERATION_LIMIT,
-        2: SolveStatus.INFEASIBLE,
-        3: SolveStatus.UNBOUNDED,
-    }.get(status_code, SolveStatus.ERROR)
+#: ``linprog`` and ``milp`` status codes (the same for both); any other
+#: code is an error
+_STATUS = {
+    0: SolveStatus.OPTIMAL,
+    1: SolveStatus.ITERATION_LIMIT,
+    2: SolveStatus.INFEASIBLE,
+    3: SolveStatus.UNBOUNDED,
+}
 
 
 #: A constant row of a model with no variables holds within this
@@ -103,7 +95,7 @@ def solve_scipy(model: Model) -> Solution:
                 integrality=mf.integrality,
                 options={**options, "presolve": False},
             )
-        status = _status_from_milp(result.status)
+        status = _STATUS.get(result.status, SolveStatus.ERROR)
         stats = SolveStats(
             nodes=int(getattr(result, "mip_node_count", 0) or 0),
             backend="scipy",
@@ -128,7 +120,7 @@ def solve_scipy(model: Model) -> Solution:
         bounds=np.column_stack([bounds_lb, bounds_ub]),
         method="highs",
     )
-    status = _status_from_linprog(result.status)
+    status = _STATUS.get(result.status, SolveStatus.ERROR)
     stats = SolveStats(
         iterations=int(getattr(result, "nit", 0) or 0), backend="scipy"
     )

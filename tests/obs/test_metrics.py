@@ -1,4 +1,4 @@
-"""MetricsRegistry: instruments, snapshot/merge, exposition."""
+"""MetricsRegistry: instruments, snapshot, exposition."""
 
 import math
 import threading
@@ -72,30 +72,6 @@ class TestInstruments:
 
 
 class TestSnapshotMerge:
-    def test_merge_adds_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for reg, n in ((a, 2), (b, 3)):
-            reg.counter_inc("c_total", n)
-            reg.histogram_observe("h", 0.05, buckets=(0.1, 1.0))
-        a.merge(b.snapshot())
-        snap = a.snapshot()
-        assert snap["c_total"]["samples"][""] == 5
-        assert snap["h"]["samples"][""]["count"] == 2
-
-    def test_merge_gauge_takes_incoming(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge_set("g", 1)
-        b.gauge_set("g", 7)
-        a.merge(b.snapshot())
-        assert a.snapshot()["g"]["samples"][""] == 7
-
-    def test_merge_rejects_bucket_layout_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram_observe("h", 0.05, buckets=(0.1, 1.0))
-        b.histogram_observe("h", 0.05, buckets=(0.1,))
-        with pytest.raises(ValueError, match="bucket layout"):
-            a.merge(b.snapshot())
-
     def test_snapshot_is_deep_copied(self):
         reg = MetricsRegistry()
         reg.histogram_observe("h", 0.05)

@@ -1,78 +1,156 @@
-"""Tracer/span semantics, the runtime switchboard, and report folding."""
+"""Span profiles, the metrics switch, and report folding."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    Tracer,
-    activate,
-    current_tracer,
-    deactivate,
+    current_profile,
     fold_campaign_report,
     fold_unit_report,
     install,
+    profiled,
     registry,
     span,
-    tracing_enabled,
+    tracing,
     uninstall,
 )
-from repro.obs.runtime import OBS_ENV
 from repro.obs.tracing import _NOOP
+from repro.parallel.campaign import (
+    CampaignSpec,
+    execute_job,
+    plan_campaign,
+    run_campaign,
+)
 
 
 @pytest.fixture(autouse=True)
 def _clean_runtime():
     yield
     uninstall()
-    deactivate()
+
+
+def _ticking_clock(monkeypatch, *ticks):
+    """Make the profile read ``ticks`` from its clock, one per read."""
+    readings = iter(ticks)
+    monkeypatch.setattr(
+        tracing, "time", SimpleNamespace(perf_counter=lambda: next(readings))
+    )
+
+
+def _band_spec(jobs):
+    return CampaignSpec.from_dict(
+        {
+            "name": "profiled",
+            "seed": 3,
+            "defaults": {
+                "explainer_samples": 10,
+                "generalizer_samples": 0,
+                "generator": {
+                    "max_subspaces": 1,
+                    "tree_extra_samples": 30,
+                    "significance_pairs": 12,
+                },
+            },
+            "jobs": [
+                {
+                    "name": f"band-{i}",
+                    "problem": {
+                        "factory": "repro.parallel._testing:band_problem",
+                        "kwargs": {"dim": 2},
+                    },
+                }
+                for i in range(jobs)
+            ],
+        }
+    )
 
 
 class TestSpans:
-    def test_noop_without_active_tracer(self):
-        assert current_tracer() is None
+    def test_noop_without_active_profile(self):
+        assert current_profile() is None
         assert span("anything") is _NOOP  # shared instance: no allocation
 
-    def test_spans_record_nesting_and_attrs(self):
-        tracer = activate(Tracer())
-        with span("outer", kind="campaign"):
-            with span("inner") as active:
-                active.annotate(points=7)
-        deactivate()
-        records = tracer.to_list()
-        assert [r["name"] for r in records] == ["outer", "inner"]
-        assert records[1]["parent"] == 0
-        assert "parent" not in records[0]
-        assert records[0]["attrs"] == {"kind": "campaign"}
-        assert records[1]["attrs"] == {"points": 7}
-        assert records[1]["duration"] <= records[0]["duration"]
+    def test_nested_spans_roll_up_calls_and_self_seconds(self, monkeypatch):
+        # outer [0, 10] holds inner [1, 3] and inner [4, 9], which holds
+        # leaf [5, 8].
+        _ticking_clock(monkeypatch, 0.0, 1.0, 3.0, 4.0, 5.0, 8.0, 9.0, 10.0)
+        with profiled() as profile:
+            with span("outer"):
+                with span("inner"):
+                    pass
+                with span("inner"):
+                    with span("leaf"):
+                        pass
+        assert profile.to_dict() == {
+            "outer": {"calls": 1, "seconds": 10.0, "self_seconds": 3.0},
+            "inner": {"calls": 2, "seconds": 7.0, "self_seconds": 4.0},
+            "leaf": {"calls": 1, "seconds": 3.0, "self_seconds": 3.0},
+        }
 
-    def test_exception_marks_span_and_propagates(self):
-        tracer = activate(Tracer())
-        with pytest.raises(RuntimeError):
-            with span("doomed"):
-                raise RuntimeError("boom")
-        deactivate()
-        assert tracer.to_list()[0]["attrs"]["error"] == "RuntimeError"
+    def test_span_that_raises_is_still_counted(self, monkeypatch):
+        _ticking_clock(monkeypatch, 0.0, 1.0, 3.0, 4.0, 6.0, 7.0)
+        with profiled() as profile:
+            with span("outer"):
+                with pytest.raises(RuntimeError, match="boom"):
+                    with span("doomed"):
+                        raise RuntimeError("boom")
+                with span("after"):
+                    pass
+        rows = profile.to_dict()
+        assert rows["doomed"] == {
+            "calls": 1, "seconds": 2.0, "self_seconds": 2.0
+        }
+        # the raising span closed, so the next one nests under outer
+        assert rows["after"]["calls"] == 1
+        assert rows["outer"] == {"calls": 1, "seconds": 7.0, "self_seconds": 3.0}
 
-    def test_span_cap_counts_drops(self):
-        tracer = activate(Tracer(max_spans=2))
-        for _ in range(5):
-            with span("s"):
-                pass
-        deactivate()
-        assert len(tracer.spans) == 2
-        assert tracer.dropped == 3
-        assert tracer.summary() == {"spans": 2, "dropped": 3}
+    @pytest.mark.parametrize("calls", [1, 1000])
+    def test_rows_do_not_grow_with_calls(self, calls):
+        with profiled() as profile:
+            with span("unit"):
+                for _ in range(calls):
+                    with span("oracle.batch"):
+                        pass
+        rows = profile.to_dict()
+        assert sorted(rows) == ["oracle.batch", "unit"]
+        assert rows["oracle.batch"]["calls"] == calls
 
-    def test_dropped_spans_keep_parent_stack_sane(self):
-        tracer = activate(Tracer(max_spans=1))
-        with span("kept"):
-            with span("dropped"):
-                pass
-        with span("also_dropped"):
-            pass
-        deactivate()
-        assert [r["name"] for r in tracer.to_list()] == ["kept"]
+    def test_profiled_restores_the_previous_profile(self):
+        with profiled() as outer:
+            with profiled() as inner:
+                assert current_profile() is inner
+            assert current_profile() is outer
+        assert current_profile() is None
+
+    def test_unit_charges_its_own_profile_and_restores_the_driver(self):
+        payload = plan_campaign(_band_spec(1))[0]
+        with profiled() as driver:
+            report = execute_job(payload)
+            assert current_profile() is driver
+        assert driver.to_dict() == {}
+        rows = report["timing"]["profile"]
+        assert {"unit", "stage.generate", "stage.explain", "oracle.batch"} <= (
+            set(rows)
+        )
+        assert rows["unit"]["calls"] == 1
+        own = sum(row["self_seconds"] for row in rows.values())
+        assert own == pytest.approx(rows["unit"]["seconds"], abs=1e-5)
+
+    def test_serial_campaign_restores_the_driver_profile_after_each_unit(self):
+        seen = []
+        report = run_campaign(
+            _band_spec(2),
+            workers=1,
+            should_stop=lambda: seen.append(current_profile()) and False,
+        )
+        assert len(seen) == 2 and seen[0] is seen[1] and seen[0] is not None
+        assert report["timing"]["profile"] == seen[0].to_dict()
+        assert list(report["timing"]["profile"]) == ["campaign"]
+        for unit in report["problems"]:
+            assert unit["timing"]["profile"]["unit"]["calls"] == 1
+        assert current_profile() is None
 
 
 class TestRuntime:
@@ -83,15 +161,6 @@ class TestRuntime:
         assert isinstance(reg, MetricsRegistry)
         uninstall()
         assert registry() is None
-
-    def test_tracing_enabled_via_registry_or_env(self, monkeypatch):
-        monkeypatch.delenv(OBS_ENV, raising=False)
-        assert not tracing_enabled()
-        install()
-        assert tracing_enabled()
-        uninstall()
-        monkeypatch.setenv(OBS_ENV, "1")
-        assert tracing_enabled()
 
 
 def _unit_report(**overrides):

@@ -1,4 +1,4 @@
-"""Observability surface: /metrics, /dashboard, progress, logging, spans."""
+"""Observability surface: /metrics, /dashboard, progress, logging, profiles."""
 
 import json
 import logging
@@ -209,21 +209,20 @@ class TestRequestLogging:
 
 
 class TestDeterminismContract:
-    def test_instrumented_run_is_bit_identical(self, monkeypatch):
+    def test_instrumented_run_is_bit_identical(self):
         spec = CampaignSpec.from_dict(SPEC)
-        monkeypatch.delenv("XPLAIN_OBS", raising=False)
         plain = run_campaign(spec)
-        monkeypatch.setenv("XPLAIN_OBS", "1")
         registry = install()
         try:
             instrumented = run_campaign(spec)
         finally:
             uninstall()
         assert deterministic_view(plain) == deterministic_view(instrumented)
-        # and the instrumented run actually recorded something
-        spans = instrumented["problems"][0]["timing"]["spans"]
-        names = {record["name"] for record in spans}
-        assert {"unit", "stage.generate", "oracle.batch"} <= names
+        # both runs profile their units: profiles need no registry
+        for report in (plain, instrumented):
+            rows = report["problems"][0]["timing"]["profile"]
+            assert {"unit", "stage.generate", "oracle.batch"} <= set(rows)
+            assert report["timing"]["profile"]["campaign"]["calls"] == 1
         snap = registry.snapshot()
         assert "xplain_oracle_batch_seconds" in snap
         assert "xplain_units_completed_total" in snap

@@ -158,6 +158,72 @@ class TestServiceCore:
         assert again["campaign_id"] == submitted["campaign_id"]
         assert again["status"] == "done"
 
+    def test_resubmit_before_the_failed_run_is_released_stands(
+        self, tmp_path, monkeypatch
+    ):
+        """A re-submit landing after ``run_campaign`` recorded ``failed``
+        but before the worker let the campaign go stays pending and in
+        the backlog until its re-queued copy finishes."""
+        import repro.service.service as service_module
+
+        healed = tmp_path / "healed"
+        spec = dict(SPEC, name="svc-race")
+        spec["jobs"] = [
+            {
+                "name": "flaky",
+                "problem": {
+                    "factory": "repro.parallel._testing:flaky_problem",
+                    "kwargs": {"flag_path": str(healed)},
+                },
+            }
+        ]
+        service = AnalysisService(tmp_path / "store")
+        statuses = []
+        write_status = service.store.set_campaign_status
+
+        def recorded_status(campaign_id, status, **kwargs):
+            statuses.append(status)
+            write_status(campaign_id, status, **kwargs)
+
+        monkeypatch.setattr(service.store, "set_campaign_status", recorded_status)
+        real_run_campaign = service_module.run_campaign
+        failed, release = threading.Event(), threading.Event()
+        backlog = []
+
+        def held_run_campaign(*args, **kwargs):
+            backlog.append(service.health_info()["backlog"])
+            try:
+                report = real_run_campaign(*args, **kwargs)
+            except Exception:
+                failed.set()
+                release.wait(60)
+                raise
+            backlog.append(service.health_info()["backlog"])
+            return report
+
+        monkeypatch.setattr(service_module, "run_campaign", held_run_campaign)
+        service.start()
+        try:
+            campaign_id = service.submit(spec)["campaign_id"]
+            assert failed.wait(60)
+            assert service.store.campaign(campaign_id)["status"] == "failed"
+            healed.touch()
+            assert service.submit(spec)["status"] == "pending"
+            resubmitted = len(statuses)
+            assert statuses[-1] == "pending"
+            release.set()
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and service.health_info()["backlog"]:
+                time.sleep(0.01)
+        finally:
+            release.set()
+            service.stop()
+        assert "failed" not in statuses[resubmitted:], statuses
+        assert statuses[-1] == "done"
+        # one sample as each run starts, one as the re-queued run ends
+        assert backlog == [1, 1, 1]
+        assert service.store.campaign(campaign_id)["status"] == "done"
+
 
 class TestHttpApi:
     def test_healthz_and_version(self, server):

@@ -23,7 +23,7 @@ from repro.service import AnalysisService, make_server
 from repro.store import run_id_for
 
 
-def _spec_dict(counter_path):
+def _spec_dict(counter_path, gate_path=None):
     return {
         "name": "drain",
         "seed": 5,
@@ -43,6 +43,7 @@ def _spec_dict(counter_path):
                     "factory": "repro.parallel._testing:counted_band_problem",
                     "kwargs": {
                         "counter_path": str(counter_path),
+                        "gate_path": gate_path and str(gate_path),
                         "dim": 2,
                         "lo": 0.5 + 0.05 * i,
                         "hi": 0.9,
@@ -61,8 +62,6 @@ def _builds(counter_path):
 
 
 def _wait(predicate, timeout=120.0):
-    # Poll far inside one unit (~30 ms): the drain test must see the
-    # first build and call stop() before the second unit is persisted.
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if predicate():
@@ -73,14 +72,23 @@ def _wait(predicate, timeout=120.0):
 
 class TestStopDrain:
     def test_stop_drains_and_restart_resumes_without_rework(self, tmp_path):
-        counter = tmp_path / "builds.txt"
-        spec_data = _spec_dict(counter)
+        counter, gate = tmp_path / "builds.txt", tmp_path / "gate"
+        spec_data = _spec_dict(counter, gate)
         service = AnalysisService(tmp_path / "store").start()
         campaign_id = service.submit(spec_data)["campaign_id"]
-        # Let the worker get at least one unit into the store, then
-        # ask for a drain mid-campaign.
+        # The first unit holds at its build until the drain is
+        # requested, so the stop lands mid-campaign however fast the
+        # units run.
         assert _wait(lambda: _builds(counter) >= 1)
-        assert service.stop(timeout=120.0), "stop must drain, not time out"
+        drained = []
+        stopper = threading.Thread(
+            target=lambda: drained.append(service.stop(timeout=120.0))
+        )
+        stopper.start()
+        assert _wait(service._stop.is_set)
+        gate.touch()
+        stopper.join(150.0)
+        assert drained == [True], "stop must drain, not time out"
 
         row = service.store.campaign(campaign_id)
         assert row["status"] == "pending", (
@@ -111,7 +119,7 @@ class TestStopDrain:
 
         # And the drained-then-resumed report is bit-identical to an
         # uninterrupted serial run.
-        fresh = run_campaign(CampaignSpec.from_dict(_spec_dict(counter)))
+        fresh = run_campaign(CampaignSpec.from_dict(_spec_dict(counter, gate)))
         assert deterministic_view(
             service.store.campaign(campaign_id)["report"]
         ) == deterministic_view(fresh)
@@ -169,8 +177,7 @@ class TestWorkerDeath:
             assert row["status"] == "failed"
             assert "worker process died" in row["error"]
             assert _builds(counter) == 1
-            # The worker thread records the failure once more before it
-            # lets the campaign go; re-post only after that.
+            # The worker lets the failed campaign go.
             assert _wait(lambda: service.health_info()["backlog"] == 0)
 
             heal.touch()
