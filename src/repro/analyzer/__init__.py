@@ -20,6 +20,7 @@ from repro.analyzer.interface import (
     AdversarialExample,
     AnalyzedProblem,
     ExactEncoding,
+    FlowBatch,
     GapSample,
     GapSamples,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "BlackBoxAnalyzer",
     "ExactEncoding",
     "ExclusionCoversSpace",
+    "FlowBatch",
     "GapSample",
     "GapSamples",
     "GapStatistics",

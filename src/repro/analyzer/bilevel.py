@@ -21,6 +21,7 @@ import numpy as np
 from repro.analyzer.exclusion import ExclusionCoversSpace, add_box_exclusion
 from repro.analyzer.interface import AdversarialExample, AnalyzedProblem
 from repro.exceptions import AnalyzerError
+from repro.obs.tracing import span as _span
 from repro.solver.solution import SolveStatus
 from repro.subspace.region import Box
 
@@ -60,7 +61,8 @@ class MetaOptAnalyzer:
         except ExclusionCoversSpace:
             return None
 
-        solution = encoding.model.solve()
+        with _span("analyzer.solve"):
+            solution = encoding.model.solve()
         if solution.status is SolveStatus.INFEASIBLE:
             return None
         if solution.status is not SolveStatus.OPTIMAL:

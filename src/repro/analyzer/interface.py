@@ -8,8 +8,9 @@ heuristic-vs-benchmark pair:
   heuristic underperforms),
 * optionally an *exact* MetaOpt-style MILP encoding whose optimum is the
   worst-case gap (``exact_model``),
-* the problem's DSL graph plus per-sample heuristic/benchmark edge flows,
-  which feed the Type-2 explainer,
+* the problem's DSL graph plus every sample's heuristic/benchmark edge
+  flows (a batched ``flows_batch`` pass, or per-point closures), which
+  feed the Type-2 explainer,
 * named feature functions for the regression tree and the generalizer.
 
 Domain packages (:mod:`repro.domains.te`, :mod:`repro.domains.binpack`)
@@ -146,6 +147,35 @@ EdgeFlows = dict[tuple[str, str], float]
 
 
 @dataclass
+class FlowBatch:
+    """Every sample's heuristic and benchmark edge flows (§5.3 input).
+
+    ``heuristic`` and ``benchmark`` are C-ordered ``(K, E)`` arrays: row
+    ``k`` is sample ``k`` and column ``e`` the flow on ``edges[e]``.
+    """
+
+    edges: list[tuple[str, str]]
+    heuristic: np.ndarray
+    benchmark: np.ndarray
+
+    @staticmethod
+    def in_key_order(
+        edges: list[tuple[str, str]],
+        heuristic: np.ndarray,
+        benchmark: np.ndarray,
+    ) -> "FlowBatch":
+        """The batch with its columns permuted into sorted edge-key order,
+        the order :func:`repro.explain.scoring.score_sample` scores a
+        sample's edges in."""
+        order = sorted(range(len(edges)), key=edges.__getitem__)
+        return FlowBatch(
+            [edges[e] for e in order],
+            np.ascontiguousarray(heuristic[:, order]),
+            np.ascontiguousarray(benchmark[:, order]),
+        )
+
+
+@dataclass
 class AnalyzedProblem:
     """One heuristic/benchmark pair, ready for the XPlain pipeline."""
 
@@ -163,7 +193,12 @@ class AnalyzedProblem:
     graph: FlowGraph | None = None
     #: exact MetaOpt-style encoding factory (fresh model per call), optional
     exact_model: Callable[[], ExactEncoding] | None = None
-    #: per-sample flows on ``graph`` for heuristic and benchmark
+    #: every sample's flows on ``graph`` in one pass: (K, dim) points ->
+    #: :class:`FlowBatch`. Like ``evaluate_batch`` it bypasses the oracle
+    #: engine, so it moves no counter and fills no cache.
+    flows_batch: Callable[[np.ndarray], FlowBatch] | None = None
+    #: per-point flows for problems without ``flows_batch``; the
+    #: explainer stacks them into the same arrays
     heuristic_flows: Callable[[np.ndarray], EdgeFlows] | None = None
     benchmark_flows: Callable[[np.ndarray], EdgeFlows] | None = None
     #: named feature functions F(I) for trees / generalization (§5.2 open

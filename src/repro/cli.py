@@ -359,8 +359,8 @@ def cmd_analyze(args) -> int:
     import json as json_module
     from pathlib import Path
 
-    from repro.core.pipeline import XPlain
     from repro.domains.registry import SMOKE_CAMPAIGN_DEFAULTS, registry
+    from repro.parallel.campaign import run_unit
 
     plugin = registry().get(args.domain)
     config = _pipeline_config(args, dict(plugin.config_defaults))
@@ -384,19 +384,11 @@ def cmd_analyze(args) -> int:
         )
     spec = plugin.problem_spec(**_analyze_kwargs(args, plugin))
     problem = spec.build()
-    report = XPlain(problem, config).run()
+    report, data = run_unit(
+        plugin.name, problem.spec or spec, config.seed, problem, config
+    )
     print(report.summary())
     if args.json_out:
-        from repro.parallel.campaign import unit_report
-
-        data = unit_report(
-            plugin.name,
-            problem.spec or spec,
-            config.seed,
-            problem,
-            report,
-            config=config,
-        )
         Path(args.json_out).write_text(
             json_module.dumps(data, indent=2, sort_keys=True)
         )

@@ -5,8 +5,8 @@ rewritten and presolved); ``solve_graph`` compiles and solves in one call,
 with the graph's input supplies fixed to given values. Inside the package
 its callers are the compiled-DSL helpers: ``solve_te_graph`` (the Fig. 4a
 TE graph) and the Appendix-A encoder behind ``repro encode``. The
-explainer does not solve graphs; it reads each problem's
-``heuristic_flows``/``benchmark_flows``.
+explainer does not solve graphs; it reads each problem's edge flows
+(``flows_batch``, or per-point ``heuristic_flows``/``benchmark_flows``).
 """
 
 from __future__ import annotations

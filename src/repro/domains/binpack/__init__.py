@@ -1,47 +1,28 @@
-"""Vector bin packing with First Fit (the paper's §2/Fig. 1c example)."""
+"""Vector bin packing with First Fit (the paper's §2/Fig. 1c example).
 
-from repro.domains.binpack.analyzer_model import (
-    build_ff_encoding,
-    first_fit_problem,
-)
-from repro.domains.binpack.dsl_model import (
-    assignment_from_flows,
-    build_vbp_graph,
-    vbp_flows_for_result,
-)
-from repro.domains.binpack.heuristics import (
-    HEURISTICS,
-    best_fit,
-    first_fit,
-    first_fit_decreasing,
-)
-from repro.domains.binpack.instance import (
-    PackingResult,
-    VbpInstance,
-    fig2_sizes,
-    vbp4_adversarial_sizes,
-)
-from repro.domains.binpack.optimal import (
-    lower_bound,
-    optimal_bin_count,
-    solve_optimal_packing,
-)
+Public names load their modules on first access (see
+:func:`repro.domains.registry.lazy_exports`).
+"""
 
-__all__ = [
-    "HEURISTICS",
-    "PackingResult",
-    "VbpInstance",
-    "assignment_from_flows",
-    "best_fit",
-    "build_ff_encoding",
-    "build_vbp_graph",
-    "fig2_sizes",
-    "first_fit",
-    "first_fit_decreasing",
-    "first_fit_problem",
-    "lower_bound",
-    "optimal_bin_count",
-    "solve_optimal_packing",
-    "vbp4_adversarial_sizes",
-    "vbp_flows_for_result",
-]
+from repro.domains.registry import lazy_exports
+
+_LAZY_EXPORTS = {
+    "build_ff_encoding": "repro.domains.binpack.analyzer_model",
+    "first_fit_problem": "repro.domains.binpack.analyzer_model",
+    "build_vbp_graph": "repro.domains.binpack.dsl_model",
+    "HEURISTICS": "repro.domains.binpack.heuristics",
+    "best_fit": "repro.domains.binpack.heuristics",
+    "first_fit": "repro.domains.binpack.heuristics",
+    "first_fit_decreasing": "repro.domains.binpack.heuristics",
+    "PackingResult": "repro.domains.binpack.instance",
+    "VbpInstance": "repro.domains.binpack.instance",
+    "fig2_sizes": "repro.domains.binpack.instance",
+    "vbp4_adversarial_sizes": "repro.domains.binpack.instance",
+    "lower_bound": "repro.domains.binpack.optimal",
+    "optimal_bin_count": "repro.domains.binpack.optimal",
+    "solve_optimal_packing": "repro.domains.binpack.optimal",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -25,21 +25,27 @@ import numpy as np
 from repro.analyzer.interface import (
     AnalyzedProblem,
     ExactEncoding,
+    FlowBatch,
     GapSample,
     GapSamples,
 )
-from repro.domains.binpack.dsl_model import build_vbp_graph, vbp_flows_for_result
+from repro.domains.binpack.dsl_model import (
+    OCCUPANCY,
+    ball_node,
+    bin_node,
+    build_vbp_graph,
+)
 from repro.domains.binpack.heuristics import (
     ORACLE_FIT_TOL,
     first_fit,
     first_fit_batch,
 )
-from repro.domains.binpack.instance import PackingResult, VbpInstance
+from repro.domains.binpack.instance import VbpInstance
 from repro.domains.binpack.optimal import (
     optimal_packing_batch,
     solve_optimal_packing,
 )
-from repro.domains.partitions import MAX_ENUM_ITEMS
+from repro.domains.partitions import MAX_ENUM_ITEMS, partition_flows
 from repro.solver import Model, VarType, quicksum
 from repro.subspace.region import Box
 
@@ -205,16 +211,16 @@ def build_ff_encoding(
 
 
 class FfBatchOracle:
-    """Native batched ``FF(Y) - OPT(Y)`` oracle.
+    """Native batched ``FF(Y) - OPT(Y)`` oracle and flow pass.
 
     Both sides are vectorized over the batch: First Fit by
     :func:`~repro.domains.binpack.heuristics.first_fit_batch`
     (bit-identical to the scalar simulation) and the optimum by exact
     enumeration
     (:func:`~repro.domains.binpack.optimal.optimal_packing_batch`), up to
-    ``MAX_ENUM_ITEMS`` balls. Larger problems have no batched oracle: the
-    engine's scalar loop, counted as ``scalar_fallback``, solves one MILP
-    per point.
+    ``MAX_ENUM_ITEMS`` balls. Larger problems have no batched gap oracle:
+    the engine's scalar loop, counted as ``scalar_fallback``, solves one
+    MILP per point, and :meth:`flows` solves one MILP per sample.
     """
 
     def __init__(self, template: VbpInstance, capacity: float) -> None:
@@ -223,7 +229,7 @@ class FfBatchOracle:
 
     def __call__(self, xs: np.ndarray) -> GapSamples:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        ff_bins, ff_feasible = first_fit_batch(
+        ff_bins, ff_assignment = first_fit_batch(
             xs,
             capacity=self.capacity,
             num_bins=self.template.num_bins,
@@ -234,7 +240,28 @@ class FfBatchOracle:
             xs,
             benchmark_values=-opt_bins.astype(float),
             heuristic_values=-ff_bins.astype(float),
-            heuristic_feasible=ff_feasible,
+            heuristic_feasible=(ff_assignment >= 0).all(axis=1),
+        )
+
+    def flows(self, xs: np.ndarray) -> FlowBatch:
+        """First Fit's and the optimum's packings of every point, as edge
+        flows on the Fig. 4b graph (the explainer's batch pass)."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        num_bins = self.template.num_bins
+        _, ff = first_fit_batch(
+            xs, capacity=self.capacity, num_bins=num_bins, tol=ORACLE_FIT_TOL
+        )
+        if xs.shape[1] <= MAX_ENUM_ITEMS:
+            _, opt = optimal_packing_batch(xs, self.capacity)
+        else:
+            opt = np.array(
+                [
+                    solve_optimal_packing(self.template.with_sizes(x)).assignment
+                    for x in xs
+                ]
+            )
+        return partition_flows(
+            xs, ff, opt, num_bins, ball_node, bin_node, OCCUPANCY
         )
 
 
@@ -276,22 +303,7 @@ def first_fit_problem(
     graph = build_vbp_graph(
         num_balls, num_balls, capacity=capacity, max_ball=max_ball
     )
-    enumerable = num_balls <= MAX_ENUM_ITEMS
-
-    def heuristic_flows(x: np.ndarray):
-        instance = template.with_sizes(np.asarray(x, dtype=float))
-        return vbp_flows_for_result(
-            graph, instance, first_fit(instance, tol=ORACLE_FIT_TOL)
-        )
-
-    def benchmark_flows(x: np.ndarray):
-        instance = template.with_sizes(np.asarray(x, dtype=float))
-        if enumerable:
-            _, assignment = optimal_packing_batch(x, capacity)
-            packing = PackingResult(assignment[0].tolist(), algorithm="optimal")
-        else:
-            packing = solve_optimal_packing(instance)
-        return vbp_flows_for_result(graph, instance, packing)
+    oracle = FfBatchOracle(template, capacity)
 
     def total_volume(x: np.ndarray) -> float:
         return float(np.sum(x))
@@ -323,13 +335,12 @@ def first_fit_problem(
             np.zeros(num_balls), np.full(num_balls, max_ball)
         ),
         evaluate=evaluate,
-        evaluate_batch=FfBatchOracle(template, capacity) if enumerable else None,
+        evaluate_batch=oracle if num_balls <= MAX_ENUM_ITEMS else None,
         graph=graph,
         exact_model=lambda: build_ff_encoding(
             num_balls, m, capacity=capacity, max_ball=max_ball
         ),
-        heuristic_flows=heuristic_flows,
-        benchmark_flows=benchmark_flows,
+        flows_batch=oracle.flows,
         features={
             "total_volume": total_volume,
             "large_ball_count": large_ball_count,

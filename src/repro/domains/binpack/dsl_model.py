@@ -14,8 +14,6 @@ multi-dimensional heuristics still work through the simulation path.
 
 from __future__ import annotations
 
-
-from repro.domains.binpack.instance import PackingResult, VbpInstance
 from repro.dsl import FlowGraph, InputSpec, NodeKind
 
 OCCUPANCY = "occupancy"
@@ -63,35 +61,3 @@ def build_vbp_graph(
     graph.set_objective(OCCUPANCY, sense="max")
     graph.validate()
     return graph
-
-
-def vbp_flows_for_result(
-    graph: FlowGraph,
-    instance: VbpInstance,
-    result: PackingResult,
-) -> dict[tuple[str, str], float]:
-    """Map a packing onto the Fig. 4b graph's edges (explainer input)."""
-    sizes = instance.scalar_sizes()
-    flows: dict[tuple[str, str], float] = {e.key: 0.0 for e in graph.edges}
-    for i, bin_index in enumerate(result.assignment):
-        if bin_index < 0:
-            continue
-        flows[(ball_node(i), bin_node(bin_index))] = float(sizes[i])
-        flows[(bin_node(bin_index), OCCUPANCY)] += float(sizes[i])
-    return flows
-
-
-def assignment_from_flows(
-    flows: dict[tuple[str, str], float],
-    num_balls: int,
-    num_bins: int,
-    tol: float = 1e-9,
-) -> list[int]:
-    """Invert :func:`vbp_flows_for_result` (used by graph-solving paths)."""
-    assignment = [-1] * num_balls
-    for i in range(num_balls):
-        for j in range(num_bins):
-            if flows.get((ball_node(i), bin_node(j)), 0.0) > tol:
-                assignment[i] = j
-                break
-    return assignment

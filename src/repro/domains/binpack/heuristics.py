@@ -107,16 +107,18 @@ def first_fit_batch(
     """Vectorized one-dimensional First Fit over a batch of instances.
 
     ``sizes`` has shape (batch, num_balls); the return is
-    ``(bins_used, feasible)`` with shape (batch,). Placements follow the
-    exact arithmetic of :func:`first_fit` (same fit test, same load
-    accumulation order), so per-instance results are bit-identical to the
-    scalar loop — the batched gap oracle relies on that.
+    ``(bins_used, assignment)`` with shapes (batch,) and (batch,
+    num_balls), bin ``-1`` for a ball that fits no bin (the instance is
+    then infeasible). Placements follow the exact arithmetic of
+    :func:`first_fit` (same fit test, same load accumulation order), so
+    per-instance results are bit-identical to the scalar loop — the
+    batched gap oracle and the explainer's flows rely on that.
     """
     sizes = np.atleast_2d(np.asarray(sizes, dtype=float))
     batch, num_balls = sizes.shape
     loads = np.zeros((batch, num_bins))
     used = np.zeros((batch, num_bins), dtype=bool)
-    feasible = np.ones(batch, dtype=bool)
+    assignment = np.full((batch, num_balls), -1, dtype=np.int64)
     rows = np.arange(batch)
     for i in range(num_balls):
         ball = sizes[:, i]
@@ -127,8 +129,8 @@ def first_fit_batch(
         target_bins = first[placed]
         loads[target_rows, target_bins] += ball[placed]
         used[target_rows, target_bins] = True
-        feasible &= placed
-    return used.sum(axis=1), feasible
+        assignment[target_rows, i] = target_bins
+    return used.sum(axis=1), assignment
 
 
 HEURISTICS = {

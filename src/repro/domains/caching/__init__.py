@@ -2,49 +2,32 @@
 
 The fourth domain — sequence-structured inputs (request traces) rather
 than vectors of demands/sizes/durations — registered as a plugin like
-every other domain package (see :mod:`repro.domains.registry`).
+every other domain package (see :mod:`repro.domains.registry`). Public
+names load their modules on first access
+(:func:`repro.domains.registry.lazy_exports`).
 """
 
-from repro.domains.caching.batch_oracle import CachingBatchOracle
-from repro.domains.caching.dsl_model import (
-    build_cache_graph,
-    cache_flows_for_run,
-)
-from repro.domains.caching.heuristics import (
-    POLICIES,
-    fifo_hits_batch,
-    lru_hits_batch,
-    simulate_fifo,
-    simulate_lru,
-)
-from repro.domains.caching.instance import (
-    CacheInstance,
-    CacheRunResult,
-    quantize_trace,
-)
-from repro.domains.caching.optimal import (
-    belady_hits_batch,
-    next_use_batch,
-    optimal_misses,
-    simulate_belady,
-)
-from repro.domains.caching.problem import lru_caching_problem
+from repro.domains.registry import lazy_exports
 
-__all__ = [
-    "POLICIES",
-    "CacheInstance",
-    "CacheRunResult",
-    "CachingBatchOracle",
-    "belady_hits_batch",
-    "build_cache_graph",
-    "cache_flows_for_run",
-    "fifo_hits_batch",
-    "lru_caching_problem",
-    "lru_hits_batch",
-    "next_use_batch",
-    "optimal_misses",
-    "quantize_trace",
-    "simulate_belady",
-    "simulate_fifo",
-    "simulate_lru",
-]
+_LAZY_EXPORTS = {
+    "CachingBatchOracle": "repro.domains.caching.batch_oracle",
+    "build_cache_graph": "repro.domains.caching.dsl_model",
+    "cache_flows_batch": "repro.domains.caching.dsl_model",
+    "POLICIES": "repro.domains.caching.heuristics",
+    "fifo_hits_batch": "repro.domains.caching.heuristics",
+    "lru_hits_batch": "repro.domains.caching.heuristics",
+    "simulate_fifo": "repro.domains.caching.heuristics",
+    "simulate_lru": "repro.domains.caching.heuristics",
+    "CacheInstance": "repro.domains.caching.instance",
+    "CacheRunResult": "repro.domains.caching.instance",
+    "quantize_trace": "repro.domains.caching.instance",
+    "belady_hits_batch": "repro.domains.caching.optimal",
+    "next_use_batch": "repro.domains.caching.optimal",
+    "optimal_misses": "repro.domains.caching.optimal",
+    "simulate_belady": "repro.domains.caching.optimal",
+    "lru_caching_problem": "repro.domains.caching.problem",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -4,14 +4,15 @@ Scores many traces per call: quantize the whole ``(n, T)`` input block
 once, then run the lockstep-vectorized policy and Belady simulators over
 the full batch. Stateless (no warm starts, no incremental tables), so a
 batch's answers depend only on its own points without a ``reset_state``
-hook.
+hook. The explainer's flows are the same hit masks (:meth:`flows`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analyzer.interface import GapSamples
+from repro.analyzer.interface import FlowBatch, GapSamples
+from repro.domains.caching.dsl_model import cache_flows_batch
 from repro.domains.caching.heuristics import POLICIES
 from repro.domains.caching.instance import quantize_trace
 from repro.domains.caching.optimal import belady_hits_batch
@@ -36,12 +37,18 @@ class CachingBatchOracle:
         self.capacity = capacity
         self.policy = policy
 
+    def hits(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The policy's and Belady's ``(n, T)`` hit masks."""
+        traces = quantize_trace(np.atleast_2d(xs), self.num_items)
+        _, policy_batch = POLICIES[self.policy]
+        return (
+            policy_batch(traces, self.num_items, self.capacity),
+            belady_hits_batch(traces, self.num_items, self.capacity),
+        )
+
     def __call__(self, xs: np.ndarray) -> GapSamples:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        traces = quantize_trace(xs, self.num_items)
-        _, policy_batch = POLICIES[self.policy]
-        policy_hits = policy_batch(traces, self.num_items, self.capacity)
-        belady_hits = belady_hits_batch(traces, self.num_items, self.capacity)
+        policy_hits, belady_hits = self.hits(xs)
         policy_misses = (~policy_hits).sum(axis=1)
         belady_misses = (~belady_hits).sum(axis=1)
         return GapSamples(
@@ -49,3 +56,8 @@ class CachingBatchOracle:
             benchmark_values=-belady_misses.astype(float),
             heuristic_values=-policy_misses.astype(float),
         )
+
+    def flows(self, xs: np.ndarray) -> FlowBatch:
+        """Every trace's policy and Belady hit masks as edge flows (the
+        explainer's batch pass)."""
+        return cache_flows_batch(*self.hits(np.asarray(xs, dtype=float)))

@@ -11,7 +11,9 @@ caching analogue of the paper's edge-divergence pictures.
 
 from __future__ import annotations
 
-from repro.domains.caching.instance import CacheInstance, CacheRunResult
+import numpy as np
+
+from repro.analyzer.interface import FlowBatch
 from repro.dsl import FlowGraph, InputSpec, NodeKind
 
 HIT = "hit"
@@ -49,13 +51,20 @@ def build_cache_graph(
     return graph
 
 
-def cache_flows_for_run(
-    graph: FlowGraph,
-    instance: CacheInstance,
-    result: CacheRunResult,
-) -> dict[tuple[str, str], float]:
-    """Map one policy run onto the graph edges (explainer input)."""
-    flows: dict[tuple[str, str], float] = {e.key: 0.0 for e in graph.edges}
-    for t, hit in enumerate(result.hits):
-        flows[(request_node(t), HIT if hit else MISS)] = 1.0
-    return flows
+def cache_flows_batch(
+    heuristic_hits: np.ndarray, benchmark_hits: np.ndarray
+) -> FlowBatch:
+    """Map two ``(batch, T)`` hit masks onto the graph edges: one unit of
+    flow per request, to HIT or to MISS. Columns are in sorted edge-key
+    order."""
+    horizon = heuristic_hits.shape[1]
+    edges = [
+        (request_node(t), sink) for t in range(horizon) for sink in (HIT, MISS)
+    ]
+
+    def columns(hits: np.ndarray) -> np.ndarray:
+        return np.stack([hits, ~hits], axis=2).reshape(len(hits), -1).astype(float)
+
+    return FlowBatch.in_key_order(
+        edges, columns(heuristic_hits), columns(benchmark_hits)
+    )

@@ -20,10 +20,9 @@ import numpy as np
 
 from repro.analyzer.interface import AnalyzedProblem, GapSample
 from repro.domains.caching.batch_oracle import CachingBatchOracle
-from repro.domains.caching.dsl_model import build_cache_graph, cache_flows_for_run
+from repro.domains.caching.dsl_model import build_cache_graph
 from repro.domains.caching.heuristics import POLICIES
-from repro.domains.caching.instance import CacheInstance, quantize_trace
-from repro.domains.caching.optimal import simulate_belady
+from repro.domains.caching.instance import quantize_trace
 from repro.exceptions import AnalyzerError
 from repro.subspace.region import Box
 
@@ -53,24 +52,12 @@ def lru_caching_problem(
             f"capacity {capacity} >= num_items {num_items}: every item "
             "fits at once, so no eviction policy can ever lose to Belady"
         )
-    simulate_policy, _ = POLICIES[policy]
     oracle = CachingBatchOracle(num_items, capacity, policy)
-
-    def instance_for(x: np.ndarray) -> CacheInstance:
-        return CacheInstance.from_vector(x, num_items, capacity)
 
     def evaluate(x: np.ndarray) -> GapSample:
         return oracle(np.asarray(x, dtype=float)[None, :]).sample(0)
 
     graph = build_cache_graph(trace_len, num_items)
-
-    def heuristic_flows(x: np.ndarray):
-        instance = instance_for(x)
-        return cache_flows_for_run(graph, instance, simulate_policy(instance))
-
-    def benchmark_flows(x: np.ndarray):
-        instance = instance_for(x)
-        return cache_flows_for_run(graph, instance, simulate_belady(instance))
 
     def distinct_items(x: np.ndarray) -> float:
         return float(len(np.unique(quantize_trace(x, num_items))))
@@ -106,8 +93,7 @@ def lru_caching_problem(
         evaluate_batch=oracle,
         graph=graph,
         exact_model=None,  # black-box analyzer path by design
-        heuristic_flows=heuristic_flows,
-        benchmark_flows=benchmark_flows,
+        flows_batch=oracle.flows,
         features={
             "distinct_items": distinct_items,
             "working_set_excess": working_set_excess,

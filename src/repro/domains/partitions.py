@@ -7,8 +7,9 @@ Both are one subset DP: the value of a subset ``S`` of the items is the
 best, over the groups ``G`` that hold the lowest item of ``S``, of the
 cost of ``G`` combined with the value of ``S \\ G``. This module holds
 what the two domains share: the ``(S, S \\ G, G)`` index tables, the
-group sums, the DP pass, the chunking of the point batch, and reading
-the canonical labels back out of the DP's choices.
+group sums, the DP pass, the chunking of the point batch, reading the
+canonical labels back out of the DP's choices, and the edge flows of
+labellings on the two domains' common DSL graph.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import functools
 from typing import Callable
 
 import numpy as np
+
+from repro.analyzer.interface import FlowBatch
 
 #: Most items (balls or jobs) the enumerators take; above it the domains
 #: solve one HiGHS MILP per point. Measured on a 2-core x86 host with 64
@@ -139,3 +142,43 @@ def solve_in_chunks(solve, values: np.ndarray, *args) -> tuple:
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def partition_flows(
+    values: np.ndarray,
+    heuristic: np.ndarray,
+    benchmark: np.ndarray,
+    num_groups: int,
+    item_node: Callable[[int], str],
+    group_node: Callable[[int], str],
+    sink: str,
+) -> FlowBatch:
+    """Two item -> group labellings per point as edge flows.
+
+    Binpack and sched draw the same DSL graph: items are PICK sources
+    with an edge to every group, and groups SPLIT nodes draining into
+    one ``sink``. ``values`` and both labellings have shape (batch, n),
+    label ``-1`` leaving an item unplaced. An item's value flows on the
+    edge to its group, and each group's edge to the sink carries its
+    total, added in item order from ``0.0``. Columns are in sorted
+    edge-key order.
+    """
+    batch, num_items = values.shape
+    rows = np.arange(batch)
+    edges = [(group_node(j), sink) for j in range(num_groups)] + [
+        (item_node(i), group_node(j))
+        for i in range(num_items)
+        for j in range(num_groups)
+    ]
+
+    def columns(assignment: np.ndarray) -> np.ndarray:
+        items = np.zeros((batch, num_items, num_groups))
+        groups = np.zeros((batch, num_groups))
+        for i in range(num_items):
+            placed = assignment[:, i] >= 0
+            at, group = rows[placed], assignment[placed, i]
+            items[at, i, group] = values[placed, i]
+            groups[at, group] += values[placed, i]
+        return np.hstack([groups, items.reshape(batch, -1)])
+
+    return FlowBatch.in_key_order(edges, columns(heuristic), columns(benchmark))

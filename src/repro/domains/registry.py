@@ -22,6 +22,13 @@ module-level ``PLUGIN`` (or ``PLUGINS`` list) is all it takes —
 :mod:`pkgutil`, so no central list needs editing. Plugin modules must
 stay import-light (the factory is a dotted string, resolved lazily), so
 listing domains never pays for building them.
+
+Importing ``repro.domains.<name>.plugin`` runs the package's
+``__init__.py`` first, so the domain packages keep their ``__init__``
+lazy too (:func:`lazy_exports`): a public name loads its module on first
+access. Otherwise discovery would load every domain, TE and networkx
+included, before ``repro serve`` answered ``/healthz``, and a caching or
+binpack run would pay for all four.
 """
 
 from __future__ import annotations
@@ -222,6 +229,21 @@ class DomainRegistry:
 
 
 # ----------------------------------------------------------------------
+def lazy_exports(package: str, exports: Mapping[str, str]):
+    """A package ``__getattr__`` that imports each public name from its
+    module (``exports``: name -> module) on first access."""
+
+    def __getattr__(name: str):
+        module_name = exports.get(name)
+        if module_name is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        return getattr(importlib.import_module(module_name), name)
+
+    return __getattr__
+
+
 def discover_plugins(registry: DomainRegistry | None = None) -> DomainRegistry:
     """Scan ``repro.domains.*`` packages for ``plugin`` modules.
 

@@ -1,25 +1,22 @@
-"""Makespan scheduling (the paper's "conceptually similar to VBP" note)."""
+"""Makespan scheduling (the paper's "conceptually similar to VBP" note).
 
-from repro.domains.sched.dsl_model import (
-    build_sched_graph,
-    sched_flows_for_schedule,
-)
-from repro.domains.sched.heuristics import (
-    list_scheduling,
-    longest_processing_time,
-)
-from repro.domains.sched.instance import SchedInstance, Schedule
-from repro.domains.sched.optimal import optimal_makespan, solve_optimal_schedule
-from repro.domains.sched.problem import list_scheduling_problem
+Public names load their modules on first access (see
+:func:`repro.domains.registry.lazy_exports`).
+"""
 
-__all__ = [
-    "SchedInstance",
-    "Schedule",
-    "build_sched_graph",
-    "list_scheduling",
-    "list_scheduling_problem",
-    "longest_processing_time",
-    "optimal_makespan",
-    "sched_flows_for_schedule",
-    "solve_optimal_schedule",
-]
+from repro.domains.registry import lazy_exports
+
+_LAZY_EXPORTS = {
+    "build_sched_graph": "repro.domains.sched.dsl_model",
+    "list_scheduling": "repro.domains.sched.heuristics",
+    "longest_processing_time": "repro.domains.sched.heuristics",
+    "SchedInstance": "repro.domains.sched.instance",
+    "Schedule": "repro.domains.sched.instance",
+    "optimal_makespan": "repro.domains.sched.optimal",
+    "solve_optimal_schedule": "repro.domains.sched.optimal",
+    "list_scheduling_problem": "repro.domains.sched.problem",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)

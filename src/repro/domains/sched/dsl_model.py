@@ -9,7 +9,6 @@ scores, exactly as for VBP.
 
 from __future__ import annotations
 
-from repro.domains.sched.instance import SchedInstance, Schedule
 from repro.dsl import FlowGraph, InputSpec, NodeKind
 
 LOAD = "load"
@@ -55,19 +54,3 @@ def build_sched_graph(
     graph.set_objective(LOAD, sense="max")
     graph.validate()
     return graph
-
-
-def sched_flows_for_schedule(
-    graph: FlowGraph,
-    instance: SchedInstance,
-    schedule: Schedule,
-) -> dict[tuple[str, str], float]:
-    """Map a schedule onto the graph edges (explainer input)."""
-    flows: dict[tuple[str, str], float] = {e.key: 0.0 for e in graph.edges}
-    for i, machine in enumerate(schedule.assignment):
-        if machine < 0:
-            continue
-        duration = float(instance.durations[i])
-        flows[(job_node(i), machine_node(machine))] = duration
-        flows[(machine_node(machine), LOAD)] += duration
-    return flows

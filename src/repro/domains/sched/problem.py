@@ -9,29 +9,82 @@ Its gap oracle is native and batched up to ``MAX_ENUM_ITEMS`` jobs: list
 scheduling vectorized over the batch, and the optimal makespan by exact
 enumeration. The scalar ``evaluate`` closure keeps the MILP as the
 reference the batched path is checked against, and as the per-point path
-above the cap.
+above the cap. The explainer's flows come from the same batch pass at
+every size, with one MILP per sample above the cap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analyzer.interface import AnalyzedProblem, GapSample, GapSamples
-from repro.domains.partitions import MAX_ENUM_ITEMS
+from repro.analyzer.interface import (
+    AnalyzedProblem,
+    FlowBatch,
+    GapSample,
+    GapSamples,
+)
+from repro.domains.partitions import MAX_ENUM_ITEMS, partition_flows
 from repro.domains.sched.dsl_model import (
+    LOAD,
     build_sched_graph,
-    sched_flows_for_schedule,
+    job_node,
+    machine_node,
 )
 from repro.domains.sched.heuristics import (
     list_scheduling,
     list_scheduling_batch,
 )
-from repro.domains.sched.instance import SchedInstance, Schedule
+from repro.domains.sched.instance import SchedInstance
 from repro.domains.sched.optimal import (
     optimal_schedule_batch,
     solve_optimal_schedule,
 )
 from repro.subspace.region import Box
+
+
+class SchedBatchOracle:
+    """Native batched ``LS(Y) - OPT(Y)`` makespan oracle and flow pass.
+
+    List scheduling is vectorized over the batch
+    (:func:`~repro.domains.sched.heuristics.list_scheduling_batch`) and
+    the optimum enumerated exactly
+    (:func:`~repro.domains.sched.optimal.optimal_schedule_batch`) up to
+    ``MAX_ENUM_ITEMS`` jobs; above the cap there is no batched gap
+    oracle, and :meth:`flows` solves one MILP per sample.
+    """
+
+    def __init__(self, template: SchedInstance) -> None:
+        self.template = template
+        self.num_machines = template.num_machines
+
+    def __call__(self, xs: np.ndarray) -> GapSamples:
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        heuristic, _ = list_scheduling_batch(xs, self.num_machines)
+        optimal, _ = optimal_schedule_batch(xs, self.num_machines)
+        return GapSamples(
+            xs, benchmark_values=-optimal, heuristic_values=-heuristic
+        )
+
+    def flows(self, xs: np.ndarray) -> FlowBatch:
+        """List scheduling's and the optimum's schedules of every point,
+        as edge flows on the scheduling graph (the explainer's batch
+        pass)."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        _, heuristic = list_scheduling_batch(xs, self.num_machines)
+        if xs.shape[1] <= MAX_ENUM_ITEMS:
+            _, optimal = optimal_schedule_batch(xs, self.num_machines)
+        else:
+            optimal = np.array(
+                [
+                    solve_optimal_schedule(
+                        self.template.with_durations(x)
+                    ).assignment
+                    for x in xs
+                ]
+            )
+        return partition_flows(
+            xs, heuristic, optimal, self.num_machines, job_node, machine_node, LOAD
+        )
 
 
 def list_scheduling_problem(
@@ -59,33 +112,10 @@ def list_scheduling_problem(
             heuristic_value=-heuristic.makespan(instance),
         )
 
-    def evaluate_batch(xs: np.ndarray) -> GapSamples:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        heuristic, _ = list_scheduling_batch(xs, num_machines)
-        optimal, _ = optimal_schedule_batch(xs, num_machines)
-        return GapSamples(
-            xs, benchmark_values=-optimal, heuristic_values=-heuristic
-        )
-
     graph = build_sched_graph(
         num_jobs, num_machines, max_duration=max_duration
     )
-    enumerable = num_jobs <= MAX_ENUM_ITEMS
-
-    def heuristic_flows(x: np.ndarray):
-        instance = template.with_durations(x)
-        return sched_flows_for_schedule(
-            graph, instance, list_scheduling(instance)
-        )
-
-    def benchmark_flows(x: np.ndarray):
-        instance = template.with_durations(x)
-        if enumerable:
-            _, assignment = optimal_schedule_batch(x, num_machines)
-            schedule = Schedule(assignment[0].tolist(), algorithm="optimal")
-        else:
-            schedule = solve_optimal_schedule(instance)
-        return sched_flows_for_schedule(graph, instance, schedule)
+    oracle = SchedBatchOracle(template)
 
     def longest_job(x: np.ndarray) -> float:
         return float(np.max(x))
@@ -111,11 +141,10 @@ def list_scheduling_problem(
             np.zeros(num_jobs), np.full(num_jobs, max_duration)
         ),
         evaluate=evaluate,
-        evaluate_batch=evaluate_batch if enumerable else None,
+        evaluate_batch=oracle if num_jobs <= MAX_ENUM_ITEMS else None,
         graph=graph,
         exact_model=None,  # black-box analyzer path by design
-        heuristic_flows=heuristic_flows,
-        benchmark_flows=benchmark_flows,
+        flows_batch=oracle.flows,
         features={
             "longest_job": longest_job,
             "duration_spread": duration_spread,

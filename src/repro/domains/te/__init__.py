@@ -2,63 +2,39 @@
 
 Provides the topology/path/demand substrate, the optimal max-flow benchmark,
 the Demand Pinning heuristic, the Fig. 4a DSL model, and the MetaOpt bilevel
-encoding used by the analyzer.
+encoding used by the analyzer. Public names load their modules on first
+access (:func:`repro.domains.registry.lazy_exports`), so listing domains
+does not load networkx.
 """
 
-from repro.domains.te.analyzer_model import (
-    build_dp_encoding,
-    demand_pinning_problem,
-    fig1a_demand_pinning_problem,
-)
-from repro.domains.te.demands import (
-    Demand,
-    DemandSet,
-    all_pairs_demand_set,
-    build_demand_set,
-    fig1a_demand_pairs,
-    fig4a_demand_pairs,
-)
-from repro.domains.te.dsl_model import (
-    build_te_graph,
-    solve_te_graph,
-    te_flows_for_result,
-)
-from repro.domains.te.optimal import TEResult, solve_optimal_te
-from repro.domains.te.paths import Path, k_shortest_paths
-from repro.domains.te.pinning import (
-    pinned_demands,
-    pinning_gap,
-    solve_demand_pinning,
-)
-from repro.domains.te.topology import (
-    Link,
-    Topology,
-    fig1a_topology,
-    line_topology,
-)
+from repro.domains.registry import lazy_exports
 
-__all__ = [
-    "Demand",
-    "DemandSet",
-    "Link",
-    "Path",
-    "TEResult",
-    "Topology",
-    "all_pairs_demand_set",
-    "build_demand_set",
-    "build_dp_encoding",
-    "build_te_graph",
-    "demand_pinning_problem",
-    "fig1a_demand_pairs",
-    "fig1a_demand_pinning_problem",
-    "fig1a_topology",
-    "fig4a_demand_pairs",
-    "k_shortest_paths",
-    "line_topology",
-    "pinned_demands",
-    "pinning_gap",
-    "solve_demand_pinning",
-    "solve_optimal_te",
-    "solve_te_graph",
-    "te_flows_for_result",
-]
+_LAZY_EXPORTS = {
+    "build_dp_encoding": "repro.domains.te.analyzer_model",
+    "demand_pinning_problem": "repro.domains.te.analyzer_model",
+    "fig1a_demand_pinning_problem": "repro.domains.te.analyzer_model",
+    "Demand": "repro.domains.te.demands",
+    "DemandSet": "repro.domains.te.demands",
+    "all_pairs_demand_set": "repro.domains.te.demands",
+    "build_demand_set": "repro.domains.te.demands",
+    "fig1a_demand_pairs": "repro.domains.te.demands",
+    "fig4a_demand_pairs": "repro.domains.te.demands",
+    "build_te_graph": "repro.domains.te.dsl_model",
+    "solve_te_graph": "repro.domains.te.dsl_model",
+    "te_flows_for_result": "repro.domains.te.dsl_model",
+    "TEResult": "repro.domains.te.optimal",
+    "solve_optimal_te": "repro.domains.te.optimal",
+    "Path": "repro.domains.te.paths",
+    "k_shortest_paths": "repro.domains.te.paths",
+    "pinned_demands": "repro.domains.te.pinning",
+    "pinning_gap": "repro.domains.te.pinning",
+    "solve_demand_pinning": "repro.domains.te.pinning",
+    "Link": "repro.domains.te.topology",
+    "Topology": "repro.domains.te.topology",
+    "fig1a_topology": "repro.domains.te.topology",
+    "line_topology": "repro.domains.te.topology",
+}
+
+__all__ = sorted(_LAZY_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analyzer.interface import AnalyzedProblem
+from repro.analyzer.interface import AnalyzedProblem, FlowBatch
 from repro.exceptions import ExplainError
-from repro.explain.scoring import EdgeKey, score_sample
+from repro.explain.scoring import FLOW_TOL, EdgeKey, score_sample
+from repro.obs.tracing import span as _span
 from repro.subspace.region import Box, Region
 
 
@@ -178,6 +179,50 @@ class Heatmap:
         return "\n".join(lines)
 
 
+def sample_flows(problem: AnalyzedProblem, points: np.ndarray) -> FlowBatch:
+    """Every sample's heuristic and benchmark edge flows, as one batch.
+
+    A problem with a batched pass (``flows_batch``) answers it in one
+    call. Per-point closures are called sample by sample, heuristic
+    first, and stacked into the same arrays: a sample's edges are scored
+    in sorted key order (:func:`score_sample`), columns follow the order
+    edges are first seen, and an edge a sample's dicts omit carries zero
+    flow in its row.
+    """
+    if problem.flows_batch is not None:
+        return problem.flows_batch(points)
+    if problem.heuristic_flows is None or problem.benchmark_flows is None:
+        raise ExplainError(
+            f"problem {problem.name!r} does not expose edge flows"
+        )
+    samples = [
+        score_sample(problem.heuristic_flows(x), problem.benchmark_flows(x))
+        for x in points
+    ]
+    columns: dict[EdgeKey, int] = {}
+    for sample in samples:
+        for key in sample:
+            columns.setdefault(key, len(columns))
+    heuristic = np.zeros((len(samples), len(columns)))
+    benchmark = np.zeros((len(samples), len(columns)))
+    for k, sample in enumerate(samples):
+        for key, edge in sample.items():
+            heuristic[k, columns[key]] = edge.heuristic_flow
+            benchmark[k, columns[key]] = edge.benchmark_flow
+    return FlowBatch(list(columns), heuristic, benchmark)
+
+
+def _in_order_sums(values: np.ndarray) -> np.ndarray:
+    """Sums over the first (sample) axis, adding the samples in order
+    from ``0.0`` as a one-sample-at-a-time loop would.
+
+    An accumulate is a sequential chain by definition, where a reduction
+    may pair terms and move last bits. The trailing ``+ 0.0`` gives an
+    all-``-0.0`` column the ``0.0`` a sum started at ``0.0`` ends on.
+    """
+    return np.add.accumulate(values, axis=0)[-1] + 0.0
+
+
 def build_heatmap(
     problem: AnalyzedProblem,
     where: Box | Region | np.ndarray,
@@ -187,12 +232,10 @@ def build_heatmap(
     """Sample a subspace and aggregate edge scores (the Fig. 4 pipeline).
 
     ``where`` is a region/box to sample, or an explicit (n, dim) array of
-    input points.
+    input points. All samples' flows come as one batch
+    (:func:`sample_flows`), and every edge's means are one in-order
+    reduction over it.
     """
-    if problem.heuristic_flows is None or problem.benchmark_flows is None:
-        raise ExplainError(
-            f"problem {problem.name!r} does not expose edge flows"
-        )
     if isinstance(where, np.ndarray):
         points = np.atleast_2d(where)
     else:
@@ -200,38 +243,27 @@ def build_heatmap(
     if len(points) == 0:
         raise ExplainError("no sample points for the heatmap")
 
-    totals: dict[EdgeKey, dict[str, float]] = {}
-    for x in points:
-        heuristic = problem.heuristic_flows(x)
-        benchmark = problem.benchmark_flows(x)
-        for key, sample in score_sample(heuristic, benchmark).items():
-            bucket = totals.setdefault(
-                key,
-                {
-                    "score": 0.0,
-                    "h_use": 0.0,
-                    "b_use": 0.0,
-                    "h_flow": 0.0,
-                    "b_flow": 0.0,
-                },
-            )
-            bucket["score"] += sample.score
-            bucket["h_use"] += 1.0 if sample.heuristic_uses else 0.0
-            bucket["b_use"] += 1.0 if sample.benchmark_uses else 0.0
-            bucket["h_flow"] += sample.heuristic_flow
-            bucket["b_flow"] += sample.benchmark_flow
-
+    with _span("explain.flows"):
+        flows = sample_flows(problem, points)
+    h_use = (flows.heuristic > FLOW_TOL).astype(float)
+    b_use = (flows.benchmark > FLOW_TOL).astype(float)
+    # per sample and edge: the paper's three-way score (+1 benchmark
+    # only, -1 heuristic only), both uses and both flows
+    per_sample = np.stack(
+        [b_use - h_use, h_use, b_use, flows.heuristic, flows.benchmark], axis=1
+    )
     n = float(len(points))
+    score, h_rate, b_rate, h_flow, b_flow = _in_order_sums(per_sample) / n
     scores = {
         key: EdgeScore(
             edge=key,
-            mean_score=bucket["score"] / n,
-            heuristic_use_rate=bucket["h_use"] / n,
-            benchmark_use_rate=bucket["b_use"] / n,
-            mean_heuristic_flow=bucket["h_flow"] / n,
-            mean_benchmark_flow=bucket["b_flow"] / n,
+            mean_score=float(score[e]),
+            heuristic_use_rate=float(h_rate[e]),
+            benchmark_use_rate=float(b_rate[e]),
+            mean_heuristic_flow=float(h_flow[e]),
+            mean_benchmark_flow=float(b_flow[e]),
             samples=int(n),
         )
-        for key, bucket in totals.items()
+        for e, key in enumerate(flows.edges)
     }
     return Heatmap(scores=scores, num_samples=int(n))

@@ -18,10 +18,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.analyzer.interface import AnalyzedProblem
-from repro.domains.binpack.analyzer_model import first_fit_problem
-from repro.domains.te.analyzer_model import demand_pinning_problem
-from repro.domains.te.demands import all_pairs_demand_set, build_demand_set
-from repro.domains.te.topology import Topology
 
 
 @dataclass
@@ -53,6 +49,12 @@ def te_instance_generator(
       along these paths is lower";
     * ``threshold_fraction``, ``num_demands``, ``num_links``.
     """
+    # Domain factories load when a generator is made: the pipeline
+    # imports this module, and a run on another domain (or none) must
+    # not pay for TE and networkx.
+    from repro.domains.te.analyzer_model import demand_pinning_problem
+    from repro.domains.te.demands import all_pairs_demand_set
+    from repro.domains.te.topology import Topology
 
     def generate(rng: np.random.Generator) -> GeneratedInstance:
         num_nodes = int(rng.integers(num_nodes_range[0], num_nodes_range[1] + 1))
@@ -103,6 +105,9 @@ def line_te_instance_generator(
     demand whose shortest path grows with the line length, plus per-hop
     crossing demands the pin interferes with.
     """
+    from repro.domains.te.analyzer_model import demand_pinning_problem
+    from repro.domains.te.demands import build_demand_set
+    from repro.domains.te.topology import Topology
 
     def generate(rng: np.random.Generator) -> GeneratedInstance:
         length = int(rng.integers(length_range[0], length_range[1] + 1))
@@ -139,6 +144,7 @@ def vbp_instance_generator(
     capacity: float = 1.0,
 ) -> InstanceGenerator:
     """Random FF instances with varying ball counts and bin headroom."""
+    from repro.domains.binpack.analyzer_model import first_fit_problem
 
     def generate(rng: np.random.Generator) -> GeneratedInstance:
         num_balls = int(

@@ -294,24 +294,34 @@ def _stats_dicts(stats) -> tuple[dict, dict]:
 
 def execute_job(job_payload: dict) -> dict:
     """Run one campaign job to a JSON-safe report dict (worker side)."""
-    from repro.core.pipeline import XPlain
-
     spec = ProblemSpec.from_dict(job_payload["problem"])
     problem = spec.build()
     config = _build_job_config(job_payload.get("config", {}))
     seed = int(job_payload["seed"])
     config.seed = seed
     config.generator.seed = seed
-    # The unit profiles its spans into its own rollup; the driver's
-    # (serial executor runs in-process) is restored afterwards. The
-    # rows land under "timing", which deterministic_view strips.
+    _, out = run_unit(job_payload["name"], spec, seed, problem, config)
+    return out
+
+
+def run_unit(name: str, spec: ProblemSpec, seed: int, problem, config):
+    """Run the pipeline on one problem under the unit's own profile.
+
+    Returns the live :class:`~repro.core.results.XPlainReport` and its
+    :func:`unit_report` form with the profile rows under
+    ``timing.profile``. Campaign units and ``repro analyze --json-out``
+    both run through here, so both carry the same profile. The profile
+    is this unit's alone (a serial campaign's own profile is restored
+    afterwards), and its rows land under ``"timing"``, which
+    :func:`deterministic_view` strips.
+    """
+    from repro.core.pipeline import XPlain
+
     with profiled() as profile, _span("unit"):
         report = XPlain(problem, config).run()
-    out = unit_report(
-        job_payload["name"], spec, seed, problem, report, config=config
-    )
+    out = unit_report(name, spec, seed, problem, report, config=config)
     out["timing"]["profile"] = profile.to_dict()
-    return out
+    return report, out
 
 
 def unit_report(

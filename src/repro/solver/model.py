@@ -12,13 +12,16 @@ cross-check HiGHS against, called by name.
 from __future__ import annotations
 
 import itertools
+import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.exceptions import ModelError
+from repro.obs.tracing import span as _span
 from repro.solver.expr import (
     Constraint,
     LinExpr,
@@ -31,6 +34,14 @@ from repro.solver.solution import Solution
 _model_counter = itertools.count()
 
 INF = float("inf")
+
+
+def _first_import_span():
+    """A ``solver.import`` span while the HiGHS backend (and with it
+    ``scipy.optimize``) is not yet loaded in this process."""
+    if "repro.solver.scipy_backend" in sys.modules:
+        return nullcontext()
+    return _span("solver.import")
 
 
 @dataclass
@@ -242,7 +253,10 @@ class Model:
         """Solve the model with HiGHS and return a :class:`Solution`."""
         # Imported here so that loading the model container does not load
         # scipy: a campaign that never solves a model never pays for it.
-        from repro.solver.scipy_backend import solve_scipy
+        # The first solve in a process pays for the import, charged to
+        # its own profile row.
+        with _first_import_span():
+            from repro.solver.scipy_backend import solve_scipy
 
         start = time.perf_counter()
         solution = solve_scipy(self)

@@ -19,7 +19,6 @@ from repro.domains.binpack import (
     optimal_bin_count,
     solve_optimal_packing,
     vbp4_adversarial_sizes,
-    vbp_flows_for_result,
 )
 from repro.exceptions import DslError
 
@@ -158,11 +157,10 @@ class TestVbpGraphAndFlows:
         assert graph.num_edges == 4 * 3 + 3
 
     def test_flows_from_first_fit(self):
-        inst = VbpInstance.one_dimensional(
-            vbp4_adversarial_sizes(), num_bins=3
-        )
-        graph = build_vbp_graph(4, 3)
-        flows = vbp_flows_for_result(graph, inst, first_fit(inst))
+        problem = first_fit_problem(num_balls=4, num_bins=3)
+        batch = problem.flows_batch(np.array([vbp4_adversarial_sizes()]))
+        assert batch.edges == sorted(e.key for e in problem.graph.edges)
+        flows = dict(zip(batch.edges, batch.heuristic[0]))
         assert flows[("ball[0]", "bin[0]")] == pytest.approx(0.01)
         assert flows[("ball[2]", "bin[1]")] == pytest.approx(0.51)
         assert flows[("bin[0]", "occupancy")] == pytest.approx(0.5)

@@ -170,8 +170,9 @@ class TestOracleAndProblem:
     def test_flows_route_one_unit_per_request(self):
         problem = lru_caching_problem(num_items=3, capacity=2, trace_len=6)
         x = np.array([0.1, 1.2, 2.3, 0.4, 1.5, 2.6])
-        heuristic = problem.heuristic_flows(x)
-        benchmark = problem.benchmark_flows(x)
+        batch = problem.flows_batch(x[None, :])
+        heuristic = dict(zip(batch.edges, batch.heuristic[0]))
+        benchmark = dict(zip(batch.edges, batch.benchmark[0]))
         for flows in (heuristic, benchmark):
             for t in range(6):
                 hit = flows[(f"req[{t}]", "hit")]

@@ -114,7 +114,7 @@ class TestBinpackEnumeration:
         problem = first_fit_problem(num_balls=4, num_bins=3)
         xs = problem.input_box.sample(np.random.default_rng(0), 20)
         problem.evaluate_many(xs)
-        problem.benchmark_flows(xs[0])
+        problem.flows_batch(xs[:1])
         stats = problem.oracle.stats_snapshot()
         assert (stats.native_batched, stats.scalar_fallback) == (20, 0)
         assert calls == []
@@ -128,7 +128,7 @@ class TestBinpackEnumeration:
         assert problem.evaluate_batch is None
         xs = problem.input_box.sample(np.random.default_rng(1), 2)
         problem.evaluate_many(xs)
-        problem.benchmark_flows(xs[0])
+        problem.flows_batch(xs[:1])
         stats = problem.oracle.stats_snapshot()
         assert (stats.native_batched, stats.scalar_fallback) == (0, 2)
         assert len(calls) == 3
@@ -192,7 +192,7 @@ class TestSchedEnumeration:
         problem = list_scheduling_problem(3, 2)
         xs = problem.input_box.sample(np.random.default_rng(2), 20)
         problem.evaluate_many(xs)
-        problem.benchmark_flows(xs[0])
+        problem.flows_batch(xs[:1])
         stats = problem.oracle.stats_snapshot()
         assert (stats.native_batched, stats.scalar_fallback) == (20, 0)
         assert calls == []
@@ -206,7 +206,7 @@ class TestSchedEnumeration:
         assert problem.evaluate_batch is None
         xs = problem.input_box.sample(np.random.default_rng(3), 2)
         problem.evaluate_many(xs)
-        problem.benchmark_flows(xs[0])
+        problem.flows_batch(xs[:1])
         stats = problem.oracle.stats_snapshot()
         assert (stats.native_batched, stats.scalar_fallback) == (0, 2)
         assert len(calls) == 3

@@ -13,7 +13,6 @@ from repro.domains.sched import (
     list_scheduling_problem,
     longest_processing_time,
     optimal_makespan,
-    sched_flows_for_schedule,
     solve_optimal_schedule,
 )
 from repro.exceptions import DslError
@@ -93,10 +92,10 @@ class TestProblemAndGraph:
         assert len(graph.nodes_in_group("MACHINES")) == 2
 
     def test_flows_mapping(self):
-        inst = SchedInstance((1.0, 2.0), num_machines=2)
-        graph = build_sched_graph(2, 2)
-        schedule = list_scheduling(inst)
-        flows = sched_flows_for_schedule(graph, inst, schedule)
+        problem = list_scheduling_problem(2, 2)
+        batch = problem.flows_batch(np.array([[1.0, 2.0]]))
+        assert batch.edges == sorted(e.key for e in problem.graph.edges)
+        flows = dict(zip(batch.edges, batch.heuristic[0]))
         assert flows[("job[0]", "machine[0]")] == pytest.approx(1.0)
         assert flows[("job[1]", "machine[1]")] == pytest.approx(2.0)
 

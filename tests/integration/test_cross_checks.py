@@ -112,8 +112,10 @@ class TestHeuristicFlowsConsistency:
     def test_ff_flows_sum_to_sizes(self):
         problem = first_fit_problem(num_balls=5, num_bins=5)
         rng = np.random.default_rng(0)
-        for x in problem.input_box.sample(rng, 5):
-            flows = problem.heuristic_flows(x)
+        xs = problem.input_box.sample(rng, 5)
+        batch = problem.flows_batch(xs)
+        for x, row in zip(xs, batch.heuristic):
+            flows = dict(zip(batch.edges, row))
             placed = sum(
                 flow
                 for (src, dst), flow in flows.items()

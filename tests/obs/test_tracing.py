@@ -1,9 +1,15 @@
 """Span profiles, the metrics switch, and report folding."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from repro.domains.registry import smoke_campaign_spec
 from repro.obs import (
     MetricsRegistry,
     current_profile,
@@ -19,10 +25,13 @@ from repro.obs import (
 from repro.obs.tracing import _NOOP
 from repro.parallel.campaign import (
     CampaignSpec,
+    deterministic_view,
     execute_job,
     plan_campaign,
     run_campaign,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -151,6 +160,58 @@ class TestSpans:
         for unit in report["problems"]:
             assert unit["timing"]["profile"]["unit"]["calls"] == 1
         assert current_profile() is None
+
+
+#: one binpack smoke unit, run in a fresh interpreter: its first solve
+#: loads SciPy there, so the ``solver.import`` row is sure to appear
+BINPACK_CHILD = """
+import json
+
+from repro.domains.registry import smoke_campaign_spec
+from repro.parallel.campaign import CampaignSpec, execute_job, plan_campaign
+
+spec = CampaignSpec.from_dict(smoke_campaign_spec(["binpack"]))
+print(json.dumps(execute_job(plan_campaign(spec)[0])))
+"""
+
+
+class TestUnitProfileRows:
+    def test_analyze_json_out_carries_the_unit_profile(self, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "caching.json"
+        assert main(["analyze", "caching", "--smoke", "--json-out", str(out)]) == 0
+        rows = json.loads(out.read_text())["timing"]["profile"]
+        assert {"unit", "stage.generate", "explain.flows"} <= set(rows)
+        assert rows["unit"]["calls"] == 1
+        own = sum(row["self_seconds"] for row in rows.values())
+        assert own == pytest.approx(rows["unit"]["seconds"], abs=1e-5)
+
+    def test_binpack_unit_rows_leave_the_report_unchanged(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", BINPACK_CHILD],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        fresh = json.loads(done.stdout.strip().splitlines()[-1])
+        rows = fresh["timing"]["profile"]
+        assert {"analyzer.solve", "explain.flows", "solver.import"} <= set(rows)
+        # the import happens inside the first analyzer solve, once
+        assert rows["solver.import"]["calls"] == 1
+        assert rows["analyzer.solve"]["seconds"] >= rows["solver.import"]["seconds"]
+        assert rows["explain.flows"]["calls"] == fresh["num_subspaces"]
+
+        spec = CampaignSpec.from_dict(smoke_campaign_spec(["binpack"]))
+        here = execute_job(plan_campaign(spec)[0])
+        assert {"analyzer.solve", "explain.flows"} <= set(here["timing"]["profile"])
+        assert deterministic_view(here) == deterministic_view(fresh)
 
 
 class TestRuntime:
